@@ -10,7 +10,14 @@ from .feasible import ClipModel, detect_masks, hard_clip, project_gamma, project
 from .frames import FrameKind, FrameOperator, make_frame
 from .metrics import DeclipReport, sdr, sdr_masked
 from .pipeline import declip_signal
-from .segmentation import SegmentationPlan, overlap_add, plan_segmentation, restrict_model, split
+from .segmentation import (
+    SegmentationPlan,
+    overlap_add,
+    plan_segmentation,
+    restrict_frames,
+    restrict_model,
+    split,
+)
 from .solvers import (
     SolveResult,
     SolverParams,
@@ -18,6 +25,7 @@ from .solvers import (
     Variant,
     hard_threshold,
     run_solver,
+    solve_batch,
 )
 
 __all__ = [
@@ -39,10 +47,12 @@ __all__ = [
     "plan_segmentation",
     "project_gamma",
     "project_gamma_coef",
+    "restrict_frames",
     "restrict_model",
     "run_solver",
     "sdr",
     "sdr_masked",
+    "solve_batch",
     "split",
 ]
 

@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
 
 import numpy as np
 
-from .feasible import DEFAULT_DELTA_DETECT, detect_masks, hard_clip
-from .metrics import sdr, sdr_masked
+from .feasible import DEFAULT_DELTA_DETECT, hard_clip
 from .pipeline import declip_signal
 from .solvers import SolverParams, Variant
 from .verification import OracleConfig, run_all_checks
@@ -50,12 +48,19 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=1, help="iterations between sparsity increments")
     p.add_argument("--epsilon", type=float, default=0.1, help="termination residual")
     p.add_argument("--delta-detect", type=float, default=DEFAULT_DELTA_DETECT)
-    p.add_argument("--threads", default="auto", help='worker threads, integer or "auto"')
-    p.add_argument("--seed", type=int, default=0, help="unused by declip; kept for config parity")
 
 
-def _threads_arg(value: str) -> int | None:
-    return None if value == "auto" else int(value)
+def _csv_row(variant: str, theta, redundancy, report) -> dict:
+    return {
+        "variant": variant,
+        "theta": theta,
+        "redundancy": redundancy,
+        "sdr_in_db": _fmt(report.sdr_clipped_input),
+        "sdr_out_db": _fmt(report.sdr_restored),
+        "sdr_clipped_db": _fmt(report.sdr_on_clipped_samples),
+        "mean_iters": f"{report.mean_iterations:.2f}",
+        "runtime_s": f"{report.runtime:.3f}",
+    }
 
 
 def cmd_clip(args) -> int:
@@ -85,28 +90,15 @@ def cmd_declip(args) -> int:
         hop=args.hop,
         redundancy=args.redundancy,
         delta_detect=args.delta_detect,
-        threads=_threads_arg(args.threads),
     )
     write_wav(args.output, rate, restored)
-    model = detect_masks(y, theta, args.delta_detect)
-    print(f"clipped samples: {model.num_clipped} of {len(y)}")
+    print(f"clipped samples: {report.num_clipped} of {len(y)}")
     print(report.as_table())
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
-            writer.writerow(
-                {
-                    "variant": args.variant,
-                    "theta": _fmt(theta),
-                    "redundancy": args.redundancy,
-                    "sdr_in_db": _fmt(report.sdr_clipped_input),
-                    "sdr_out_db": _fmt(report.sdr_restored),
-                    "sdr_clipped_db": _fmt(report.sdr_on_clipped_samples),
-                    "mean_iters": f"{report.mean_iterations:.2f}",
-                    "runtime_s": f"{report.runtime:.3f}",
-                }
-            )
+            writer.writerow(_csv_row(args.variant, _fmt(theta), args.redundancy, report))
     return EXIT_OK
 
 
@@ -128,7 +120,6 @@ def cmd_bench(args) -> int:
                     params = SolverParams(
                         s=args.s, r=args.r, epsilon=args.epsilon, variant=variant
                     )
-                    t0 = time.perf_counter()
                     _, report = declip_signal(
                         y,
                         theta,
@@ -137,21 +128,9 @@ def cmd_bench(args) -> int:
                         hop=args.hop,
                         redundancy=red,
                         delta_detect=args.delta_detect,
-                        threads=_threads_arg(args.threads),
                         reference=x,
                     )
-                    writer.writerow(
-                        {
-                            "variant": variant.value,
-                            "theta": theta_rel,
-                            "redundancy": red,
-                            "sdr_in_db": _fmt(report.sdr_clipped_input),
-                            "sdr_out_db": _fmt(report.sdr_restored),
-                            "sdr_clipped_db": _fmt(report.sdr_on_clipped_samples),
-                            "mean_iters": f"{report.mean_iterations:.2f}",
-                            "runtime_s": f"{time.perf_counter() - t0:.3f}",
-                        }
-                    )
+                    writer.writerow(_csv_row(variant.value, theta_rel, red, report))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -32,6 +32,7 @@ class ClipModel:
 
     `mask_r`, `mask_h`, `mask_l` are boolean arrays over the samples
     (reliable / clipped-high / clipped-low) that partition the signal.
+    A batch of frames stacks `y` and the masks along a leading axis.
     """
 
     y: np.ndarray
@@ -43,11 +44,11 @@ class ClipModel:
     def __post_init__(self):
         if self.theta <= 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
-        n = len(self.y)
+        shape = np.shape(self.y)
         for name in ("mask_r", "mask_h", "mask_l"):
             m = getattr(self, name)
-            if m.shape != (n,) or m.dtype != bool:
-                raise ValueError(f"{name} must be a boolean array of length {n}")
+            if m.shape != shape or m.dtype != bool:
+                raise ValueError(f"{name} must be a boolean array of shape {shape}")
         count = (
             self.mask_r.astype(int) + self.mask_h.astype(int) + self.mask_l.astype(int)
         )
@@ -60,6 +61,16 @@ class ClipModel:
     @property
     def num_clipped(self) -> int:
         return int(np.count_nonzero(self.mask_h) + np.count_nonzero(self.mask_l))
+
+    def select(self, rows) -> ClipModel:
+        """The model of the chosen frames of a batch (boolean or index rows)."""
+        return ClipModel(
+            y=self.y[rows],
+            theta=self.theta,
+            mask_r=self.mask_r[rows],
+            mask_h=self.mask_h[rows],
+            mask_l=self.mask_l[rows],
+        )
 
 
 def hard_clip(x: np.ndarray, theta: float) -> np.ndarray:
@@ -94,15 +105,15 @@ def project_gamma(v: np.ndarray, model: ClipModel) -> np.ndarray:
     """Euclidean projection of v onto the clipping-consistent set.
 
     Reliable samples are pinned to y; clipped-high samples are raised to at
-    least theta, clipped-low samples lowered to at most -theta.
+    least theta, clipped-low samples lowered to at most -theta. For a
+    batched model, v holds one frame per row.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != model.y.shape:
-        raise ValueError(f"expected vector of length {len(model)}, got {v.shape}")
-    out = v.copy()
-    out[model.mask_r] = model.y[model.mask_r]
-    out[model.mask_h] = np.maximum(v[model.mask_h], model.theta)
-    out[model.mask_l] = np.minimum(v[model.mask_l], -model.theta)
+        raise ValueError(f"expected shape {model.y.shape}, got {v.shape}")
+    out = np.where(model.mask_r, model.y, v)
+    np.maximum(out, model.theta, out=out, where=model.mask_h)
+    np.minimum(out, -model.theta, out=out, where=model.mask_l)
     return out
 
 
@@ -115,7 +126,8 @@ def project_gamma_coef(
     Exact because synthesis composed with analysis is the identity on signals.
     """
     c = np.asarray(c, dtype=complex)
-    if c.shape != (op.coeff_len,):
-        raise ValueError(f"expected coefficients of length {op.coeff_len}, got {c.shape}")
+    expected = model.y.shape[:-1] + (op.coeff_len,)
+    if c.shape != expected:
+        raise ValueError(f"expected coefficients of shape {expected}, got {c.shape}")
     v = op.synthesize(c)
     return c + op.analyze(project_gamma(v, model) - v)

@@ -10,6 +10,7 @@ and ||synthesize(c)|| <= ||c||.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,7 +29,8 @@ class FrameKind(Enum):
 class FrameOperator:
     """Analysis/synthesis pair for a tight DFT frame.
 
-    Immutable; `analyze` and `synthesize` are pure and thread-safe.
+    Immutable; `analyze` and `synthesize` are pure and act on one frame or
+    on a batch of frames stacked along a leading axis.
     """
 
     signal_len: int
@@ -36,22 +38,35 @@ class FrameOperator:
     kind: FrameKind
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
-        """Map a real length-N signal to P complex coefficients."""
+        """Map a real length-N signal to P complex coefficients.
+
+        A 2-D input is a batch of frames, one per row; each row is
+        transformed exactly as it would be alone.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.signal_len,):
-            raise ValueError(
-                f"expected signal of length {self.signal_len}, got shape {x.shape}"
-            )
-        return np.fft.fft(x, n=self.coeff_len) / np.sqrt(self.coeff_len)
+        _check_shape(x, self.signal_len, "signal")
+        c = np.fft.fft(x, n=self.coeff_len, axis=-1)
+        # numpy divides a complex array by a real scalar as a product with
+        # its reciprocal, so scaling in place rounds the same, without a copy
+        c *= 1 / math.sqrt(self.coeff_len)
+        return c
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """Map P complex coefficients back to a real length-N signal (adjoint of analyze)."""
+        """Map P complex coefficients back to a real length-N signal (adjoint of analyze).
+
+        A 2-D input is a batch of coefficient vectors, one per row.
+        """
         c = np.asarray(c, dtype=complex)
-        if c.shape != (self.coeff_len,):
-            raise ValueError(
-                f"expected coefficients of length {self.coeff_len}, got shape {c.shape}"
-            )
-        return np.real(np.fft.ifft(c))[: self.signal_len] * np.sqrt(self.coeff_len)
+        _check_shape(c, self.coeff_len, "coefficients")
+        x = np.real(np.fft.ifft(c, axis=-1))[..., : self.signal_len]
+        return x * math.sqrt(self.coeff_len)
+
+
+def _check_shape(a: np.ndarray, length: int, what: str) -> None:
+    if a.ndim not in (1, 2) or a.shape[-1] != length:
+        raise ValueError(
+            f"expected {what} of length {length} (or a batch of them), got shape {a.shape}"
+        )
 
 
 def make_frame(signal_len: int, redundancy: float | Fraction = 1) -> FrameOperator:

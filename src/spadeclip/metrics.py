@@ -52,16 +52,22 @@ class FrameStats:
 
 @dataclass(frozen=True)
 class DeclipReport:
-    """Aggregate and per-frame outcome of one declipping run."""
+    """Aggregate and per-frame outcome of one declipping run.
+
+    `per_frame` has one entry per planned frame; a frame with no clipped
+    sample is not solved and reports 0 iterations.
+    """
 
     sdr_clipped_input: float
     sdr_restored: float
     sdr_on_clipped_samples: float
     per_frame: list[FrameStats]
     runtime: float
+    num_clipped: int = 0
 
     @property
     def mean_iterations(self) -> float:
+        """Mean over all frames, the unsolved ones counting 0."""
         if not self.per_frame:
             return 0.0
         return float(np.mean([f.iterations for f in self.per_frame]))

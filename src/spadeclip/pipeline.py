@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .feasible import ClipModel, detect_masks, project_gamma, DEFAULT_DELTA_DETECT
+from .feasible import DEFAULT_DELTA_DETECT, detect_masks, project_gamma
 from .frames import make_frame
 from .metrics import DeclipReport, FrameStats, sdr, sdr_masked
-from .segmentation import overlap_add, plan_segmentation, restrict_model
-from .solvers import SolverParams, run_solver
+from .segmentation import overlap_add, plan_segmentation, restrict_frames
+from .solvers import SolverParams, solve_batch
 
 __all__ = ["declip_signal"]
+
+# A frame with no clipped sample is pinned to y sample by sample by the
+# consistency projection, whatever the solver does, so it is not solved.
+UNSOLVED = FrameStats(iterations=0, final_residual=0.0, final_k=0, converged=True)
 
 
 def declip_signal(
@@ -24,7 +27,6 @@ def declip_signal(
     hop: int = 256,
     redundancy: float = 2,
     delta_detect: float = DEFAULT_DELTA_DETECT,
-    threads: int | None = None,
     reference: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DeclipReport]:
     """Declip a full-length signal frame by frame.
@@ -32,32 +34,32 @@ def declip_signal(
     Returns the restored signal and a report. SDR fields are computed
     against `reference` when given (clip-simulation experiments),
     otherwise against the observation itself, which makes the input-SDR
-    field infinite. `threads=None` picks frame-level parallelism
-    automatically; results are independent of the thread count.
+    field infinite.
 
-    Reliable samples of the output equal the observation exactly and
-    clipped samples respect the threshold bounds: the overlap-add result
-    is passed through the global consistency projection once more.
+    The frames holding a clipped sample are solved together as one batch
+    (`solve_batch`); the others keep the observation and report 0
+    iterations. Reliable samples of the output equal the observation
+    exactly and clipped samples respect the threshold bounds: the
+    overlap-add result is passed through the global consistency projection
+    once more.
     """
     y = np.asarray(y, dtype=float)
     t0 = time.perf_counter()
     model = detect_masks(y, theta, delta_detect)
     plan = plan_segmentation(len(y), frame_len, hop)
     op = make_frame(frame_len, redundancy)
-    frame_models = [restrict_model(model, m, plan) for m in range(plan.num_frames)]
+    frames = restrict_frames(model, plan)
 
-    def solve(frame_model: ClipModel):
-        return run_solver(frame_model, op, params)
+    restored = frames.y.copy()
+    per_frame = [UNSOLVED] * plan.num_frames
+    clipped_frames = np.flatnonzero(~frames.mask_r.all(axis=1))
+    if clipped_frames.size:
+        results = solve_batch(frames.select(clipped_frames), op, params)
+        for m, r in zip(clipped_frames, results):
+            restored[m] = r.x_restored
+            per_frame[m] = FrameStats(r.iterations, r.final_residual, r.final_k, r.converged)
 
-    if threads == 1:
-        results = [solve(fm) for fm in frame_models]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, frame_models))
-
-    restored = overlap_add([r.x_restored for r in results], plan, len(y))
-    restored = project_gamma(restored, model)
-    restored[model.mask_r] = y[model.mask_r]
+    restored = project_gamma(overlap_add(restored, plan, len(y)), model)
     runtime = time.perf_counter() - t0
 
     ref = y if reference is None else np.asarray(reference, dtype=float)
@@ -68,10 +70,8 @@ def declip_signal(
         sdr_on_clipped_samples=(
             sdr_masked(ref, restored, clipped) if np.any(clipped) else np.inf
         ),
-        per_frame=[
-            FrameStats(r.iterations, r.final_residual, r.final_k, r.converged)
-            for r in results
-        ],
+        per_frame=per_frame,
         runtime=runtime,
+        num_clipped=model.num_clipped,
     )
     return restored, report

@@ -15,7 +15,15 @@ import numpy as np
 
 from .feasible import ClipModel
 
-__all__ = ["SegmentationPlan", "shifted_hann", "plan_segmentation", "split", "overlap_add", "restrict_model"]
+__all__ = [
+    "SegmentationPlan",
+    "shifted_hann",
+    "plan_segmentation",
+    "split",
+    "overlap_add",
+    "restrict_model",
+    "restrict_frames",
+]
 
 
 def shifted_hann(frame_len: int) -> np.ndarray:
@@ -68,22 +76,25 @@ def plan_segmentation(
     )
 
 
+def _frames_of(x: np.ndarray, plan: SegmentationPlan, fill) -> np.ndarray:
+    """The plan's frames of x as rows of one array; `fill` pads past the end."""
+    padded = np.full(plan.padded_len, fill, dtype=x.dtype)
+    padded[: len(x)] = x
+    starts = np.arange(plan.num_frames) * plan.hop
+    return padded[starts[:, None] + np.arange(plan.frame_len)]
+
+
 def split(x: np.ndarray, plan: SegmentationPlan) -> list[np.ndarray]:
     """Extract the plan's frames from x, zero-padding past the signal end."""
-    x = np.asarray(x, dtype=float)
-    padded = np.zeros(plan.padded_len)
-    padded[: len(x)] = x
-    return [
-        padded[m * plan.hop : m * plan.hop + plan.frame_len].copy()
-        for m in range(plan.num_frames)
-    ]
+    return list(_frames_of(np.asarray(x, dtype=float), plan, 0.0))
 
 
 def overlap_add(
-    frames: list[np.ndarray], plan: SegmentationPlan, original_len: int
+    frames: list[np.ndarray] | np.ndarray, plan: SegmentationPlan, original_len: int
 ) -> np.ndarray:
-    """Recombine frames by window weighting with per-sample normalization."""
-    if not frames:
+    """Recombine frames (a list, or the rows of an array) by window
+    weighting with per-sample normalization."""
+    if len(frames) == 0:
         raise ValueError("frame list is empty")
     num = np.zeros(plan.padded_len)
     den = np.zeros(plan.padded_len)
@@ -119,4 +130,16 @@ def restrict_model(
     mask_l[:avail] = model.mask_l[lo : lo + avail]
     return ClipModel(
         y=y, theta=model.theta, mask_r=mask_r, mask_h=mask_h, mask_l=mask_l
+    )
+
+
+def restrict_frames(model: ClipModel, plan: SegmentationPlan) -> ClipModel:
+    """Clip model of every frame at once: one row per frame, as `restrict_model`
+    would give it."""
+    return ClipModel(
+        y=_frames_of(model.y, plan, 0.0),
+        theta=model.theta,
+        mask_r=_frames_of(model.mask_r, plan, True),
+        mask_h=_frames_of(model.mask_h, plan, False),
+        mask_l=_frames_of(model.mask_l, plan, False),
     )

@@ -18,6 +18,11 @@ every r iterations until the residual drops below epsilon.
 The penalty parameter of the underlying augmented Lagrangian scales both
 indicator-constrained subproblems without moving their minimizers, so it
 never appears here.
+
+Every step works on one frame or on a batch of frames stacked along a
+leading axis. The sparsity schedule does not depend on the frame, so all
+frames of a batch share k; `solve_batch` runs one loop over the batch and
+`run_solver` is its single-frame case.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .feasible import ClipModel, project_gamma, project_gamma_coef
+from .feasible import ClipModel, project_gamma
 from .frames import FrameOperator
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "sspade_orig_step",
     "sspade_dr_step",
     "step",
+    "solve_batch",
     "run_solver",
 ]
 
@@ -79,15 +85,32 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class SolverState:
-    """One iteration's variables. `i` counts completed iterations."""
+    """One iteration's variables. `i` counts completed iterations.
+
+    For a batch, the arrays have a leading frame axis and `residual` holds
+    one value per frame; `k` and `i` are shared by the batch.
+    """
 
     x_hat: np.ndarray
     z_bar: np.ndarray
     u: np.ndarray
     k: int
     i: int = 0
-    residual: float = np.inf
+    residual: float | np.ndarray = np.inf
     z_hat: np.ndarray | None = None  # SSPADE_ORIG primal coefficients
+    ax: np.ndarray | None = None  # ASPADE: analyze(x_hat), reused by the next step
+
+    def select(self, rows) -> SolverState:
+        """The state of the chosen frames of a batch."""
+        return replace(
+            self,
+            x_hat=self.x_hat[rows],
+            z_bar=self.z_bar[rows],
+            u=self.u[rows],
+            residual=self.residual[rows],
+            z_hat=None if self.z_hat is None else self.z_hat[rows],
+            ax=None if self.ax is None else self.ax[rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -103,50 +126,63 @@ def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of s_vec, zero the rest.
 
     Exact minimizer of ||z - s_vec||^2 over k-sparse z. Ties are broken by
-    keeping the lower index.
+    keeping the lower index. A 2-D input is thresholded row by row.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     s_vec = np.asarray(s_vec)
-    if k >= len(s_vec):
+    n = s_vec.shape[-1]
+    if k >= n:
         return s_vec.copy()
-    out = np.zeros_like(s_vec)
     if k == 0:
-        return out
-    # stable sort on -|s| keeps lower indices first among equal magnitudes
-    keep = np.argsort(-np.abs(s_vec), kind="stable")[:k]
-    out[keep] = s_vec[keep]
-    return out
+        return np.zeros_like(s_vec)
+    mag = np.abs(s_vec)
+    kth = np.partition(mag, n - k, axis=-1)[..., n - k, None]  # k-th largest
+    keep = mag >= kth
+    # every row keeps at least k entries, so a surplus anywhere shows in the total
+    if np.count_nonzero(keep) > k * (keep.size // n):
+        # entries tied at the k-th magnitude fill the free slots in index order
+        tied = mag == kth
+        free = k - np.count_nonzero(mag > kth, axis=-1, keepdims=True)
+        keep &= ~tied | (np.cumsum(tied, axis=-1) <= free)
+    return np.where(keep, s_vec, np.zeros((), s_vec.dtype))
 
 
 def init_state(model: ClipModel, op: FrameOperator, params: SolverParams) -> SolverState:
     """Starting state: estimate pinned to the observation, zero dual, k = s."""
-    p = op.coeff_len
+    coef_shape = model.y.shape[:-1] + (op.coeff_len,)
+    z_bar = np.zeros(coef_shape, dtype=complex)
+    kw = {}
     if params.variant is Variant.SSPADE_ORIG:
-        z0 = op.analyze(model.y)
-        return SolverState(
-            x_hat=model.y.copy(),
-            z_hat=z0,
-            z_bar=np.zeros(p, dtype=complex),
-            u=np.zeros(p, dtype=complex),
-            k=params.s,
-        )
-    if params.variant is Variant.SSPADE_DR:
-        u = np.zeros(op.signal_len)
+        kw["z_hat"] = op.analyze(model.y)
+        u = np.zeros(coef_shape, dtype=complex)
+    elif params.variant is Variant.SSPADE_DR:
+        u = np.zeros(model.y.shape)
     else:
-        u = np.zeros(p, dtype=complex)
-    return SolverState(
-        x_hat=model.y.copy(),
-        z_bar=np.zeros(p, dtype=complex),
-        u=u,
-        k=params.s,
-    )
+        kw["ax"] = op.analyze(model.y)
+        u = np.zeros(coef_shape, dtype=complex)
+    return SolverState(x_hat=model.y.copy(), z_bar=z_bar, u=u, k=params.s, **kw)
+
+
+def _norm(a: np.ndarray):
+    """Euclidean norm along the last axis: a float for one frame, else one per row."""
+    # a complex row as interleaved real and imaginary parts
+    flat = np.ascontiguousarray(a).view(float)
+    out = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    return float(out) if out.ndim == 0 else out
 
 
 def _advance(state: SolverState, params: SolverParams, u_new, residual, **kw) -> SolverState:
-    """Apply the shared dual/counter/sparsity bookkeeping after a step."""
-    if residual <= params.epsilon:
+    """Apply the shared dual/counter/sparsity bookkeeping after a step.
+
+    A frame whose residual meets epsilon keeps its dual; i and k advance
+    unless every frame did.
+    """
+    done = np.asarray(residual <= params.epsilon)
+    if done.all():
         return replace(state, residual=residual, **kw)
+    if done.any():
+        u_new = np.where(done[..., None], state.u, u_new)
     i = state.i + 1
     k = state.k + params.s if i % params.r == 0 else state.k
     return replace(state, u=u_new, residual=residual, i=i, k=k, **kw)
@@ -156,29 +192,40 @@ def aspade_step(
     state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
 ) -> SolverState:
     """One analysis-variant iteration: threshold, project, dual update."""
-    z_bar = hard_threshold(op.analyze(state.x_hat) + state.u, state.k)
+    z_bar = hard_threshold(state.ax + state.u, state.k)
     x_hat = project_gamma(op.synthesize(z_bar - state.u), model)
     ax = op.analyze(x_hat)
-    residual = float(np.linalg.norm(ax - z_bar))
     return _advance(
-        state, params, state.u + ax - z_bar, residual, x_hat=x_hat, z_bar=z_bar
+        state,
+        params,
+        state.u + ax - z_bar,
+        _norm(ax - z_bar),
+        x_hat=x_hat,
+        z_bar=z_bar,
+        ax=ax,
     )
 
 
 def sspade_orig_step(
     state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
 ) -> SolverState:
-    """One original-synthesis iteration; the primal variable is z_hat."""
+    """One original-synthesis iteration; the primal variable is z_hat.
+
+    The coefficient projection (`project_gamma_coef`) is written out so its
+    projected synthesis doubles as the time-domain estimate.
+    """
     z_bar = hard_threshold(state.z_hat + state.u, state.k)
-    z_hat = project_gamma_coef(z_bar - state.u, model, op)
-    residual = float(np.linalg.norm(z_hat - z_bar))
+    c = z_bar - state.u
+    v = op.synthesize(c)
+    x_hat = project_gamma(v, model)
+    z_hat = c + op.analyze(x_hat - v)
     return _advance(
         state,
         params,
         state.u + z_hat - z_bar,
-        residual,
+        _norm(z_hat - z_bar),
         z_hat=z_hat,
-        x_hat=op.synthesize(z_hat),
+        x_hat=x_hat,
         z_bar=z_bar,
     )
 
@@ -190,9 +237,8 @@ def sspade_dr_step(
     z_bar = hard_threshold(op.analyze(state.x_hat - state.u), state.k)
     dz = op.synthesize(z_bar)
     x_hat = project_gamma(dz + state.u, model)
-    residual = float(np.linalg.norm(dz - x_hat))
     return _advance(
-        state, params, state.u + dz - x_hat, residual, x_hat=x_hat, z_bar=z_bar
+        state, params, state.u + dz - x_hat, _norm(dz - x_hat), x_hat=x_hat, z_bar=z_bar
     )
 
 
@@ -210,44 +256,61 @@ def step(
     return _STEPS[params.variant](state, model, op, params)
 
 
+def solve_batch(
+    model: ClipModel, op: FrameOperator, params: SolverParams
+) -> list[SolveResult]:
+    """Solve every frame of a batched model (arrays of shape (frames, N)).
+
+    Each frame iterates until its residual meets epsilon (converged) or k
+    exceeds max_k (not converged), and then leaves the batch, so the other
+    frames go on without it. Non-convergence is not an error: each frame
+    returns the lowest-residual iterate it saw, which is always
+    clipping-consistent. A frame's result does not depend on the other
+    frames in the batch.
+    """
+    max_k = params.max_k if params.max_k is not None else op.coeff_len
+    step_fn = _STEPS[params.variant]
+    state = init_state(model, op, params)
+    num = model.y.shape[0]
+    best_x = model.y.copy()
+    best_residual = np.full(num, np.inf)
+    best_k = np.full(num, state.k)
+    iterations = np.zeros(num, dtype=int)
+    converged = np.zeros(num, dtype=bool)
+    rows = np.arange(num)  # frame index of each row still in the batch
+    n_iter = 0
+    while rows.size:
+        k_before = state.k
+        state = step_fn(state, model, op, params)
+        n_iter += 1
+        done = state.residual <= params.epsilon
+        k = np.where(done, k_before, state.k)  # a converged frame does not advance k
+        better = state.residual < best_residual[rows]
+        best_x[rows[better]] = state.x_hat[better]
+        best_residual[rows[better]] = state.residual[better]
+        best_k[rows[better]] = k[better]
+        retired = done | (k > max_k)
+        if retired.any():
+            converged[rows[done]] = True
+            iterations[rows[retired]] = n_iter
+            stay = ~retired
+            rows = rows[stay]
+            state = state.select(stay)
+            model = model.select(stay)
+    return [
+        SolveResult(
+            x_restored=best_x[m],
+            iterations=int(iterations[m]),
+            final_residual=float(best_residual[m]),
+            final_k=int(best_k[m]),
+            converged=bool(converged[m]),
+        )
+        for m in range(num)
+    ]
+
+
 def run_solver(
     model: ClipModel, op: FrameOperator, params: SolverParams
 ) -> SolveResult:
-    """Iterate the selected variant until the residual meets epsilon or k
-    exceeds max_k.
-
-    Non-convergence is not an error: the lowest-residual iterate seen is
-    returned with converged=False. The restored signal is always
-    clipping-consistent (projected once more on exit for the
-    coefficient-domain variant, whose synthesis is consistent only up to
-    rounding).
-    """
-    max_k = params.max_k if params.max_k is not None else op.coeff_len
-    state = init_state(model, op, params)
-    step_fn = _STEPS[params.variant]
-    best_x = model.y.copy()
-    best_residual = np.inf
-    best_k = state.k
-    iterations = 0
-    while True:
-        state = step_fn(state, model, op, params)
-        iterations += 1
-        if state.residual < best_residual:
-            best_x = state.x_hat
-            best_residual = state.residual
-            best_k = state.k
-        if state.residual <= params.epsilon:
-            converged = True
-            break
-        if state.k > max_k:
-            converged = False
-            break
-    if params.variant is Variant.SSPADE_ORIG:
-        best_x = project_gamma(best_x, model)
-    return SolveResult(
-        x_restored=best_x,
-        iterations=iterations,
-        final_residual=best_residual,
-        final_k=best_k,
-        converged=converged,
-    )
+    """Solve one frame: `solve_batch` on a batch of one."""
+    return solve_batch(model.select(np.newaxis), op, params)[0]

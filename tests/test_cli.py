@@ -7,9 +7,11 @@ import pytest
 from scipy.io import wavfile
 
 from spadeclip.cli import CSV_FIELDS, main
-from spadeclip.feasible import detect_masks
+from spadeclip.feasible import detect_masks, project_gamma
+from spadeclip.frames import make_frame
 from spadeclip.pipeline import declip_signal
-from spadeclip.solvers import SolverParams, Variant
+from spadeclip.segmentation import overlap_add, plan_segmentation, restrict_model
+from spadeclip.solvers import SolverParams, Variant, run_solver
 from spadeclip.wavio import read_wav, write_wav
 
 RATE = 8000
@@ -212,10 +214,32 @@ def test_pipeline_reliable_passthrough_bitexact():
     assert report.sdr_restored > report.sdr_clipped_input
 
 
-def test_pipeline_thread_count_does_not_change_result():
+def test_pipeline_batch_equals_frames_solved_alone():
+    # the batched solve gives each frame exactly what run_solver gives it alone
     x = sparse_signal(1024)
+    x[300:700] *= 0.3  # a quiet stretch: some frames hold no clipped sample
     y = np.clip(x, -0.4, 0.4)
-    params = SolverParams(variant=Variant.ASPADE)
-    seq, _ = declip_signal(y, 0.4, params, frame_len=256, hop=64, threads=1)
-    par, _ = declip_signal(y, 0.4, params, frame_len=256, hop=64, threads=4)
-    np.testing.assert_array_equal(seq, par)
+    plan = plan_segmentation(len(y), 256, 64)
+    op = make_frame(256, 2)
+    model = detect_masks(y, 0.4)
+    for variant in Variant:
+        params = SolverParams(variant=variant)
+        batched, report = declip_signal(y, 0.4, params, frame_len=256, hop=64)
+        alone = [
+            run_solver(restrict_model(model, m, plan), op, params)
+            for m in range(plan.num_frames)
+        ]
+        expected = project_gamma(
+            overlap_add([r.x_restored for r in alone], plan, len(y)), model
+        )
+        np.testing.assert_array_equal(batched, expected)
+        assert len(report.per_frame) == plan.num_frames
+        for m, (got, ref) in enumerate(zip(report.per_frame, alone)):
+            if restrict_model(model, m, plan).num_clipped:
+                assert (got.iterations, got.final_k, got.converged) == (
+                    ref.iterations, ref.final_k, ref.converged
+                )
+                assert got.final_residual == ref.final_residual
+            else:
+                assert got.iterations == 0 and got.converged
+        assert 0 < sum(f.iterations == 0 for f in report.per_frame) < plan.num_frames

@@ -133,3 +133,18 @@ def test_orthogonal_decomposition_of_coefficients():
         for _ in range(20):
             omega = rng.standard_normal(16)
             assert abs(np.real(np.vdot(op.analyze(omega), resid))) <= 1e-10
+
+
+def test_batch_rows_transform_as_alone():
+    rng = np.random.default_rng(8)
+    op = make_frame(24, 2)
+    x = rng.standard_normal((5, 24))
+    c = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
+    a, s = op.analyze(x), op.synthesize(c)
+    for m in range(5):
+        np.testing.assert_array_equal(a[m], op.analyze(x[m]))
+        np.testing.assert_array_equal(s[m], op.synthesize(c[m]))
+    with pytest.raises(ValueError):
+        op.analyze(np.zeros((2, 2, 24)))
+    with pytest.raises(ValueError):
+        op.synthesize(np.zeros((2, 24)))

@@ -1,0 +1,127 @@
+"""Pinned pipeline behaviour: per-frame iterations, final k, convergence and output.
+
+`tests/data/golden_seed.npz` holds, for one fixed signal and every
+combination of variant x redundancy {1, 2} x r {1, 2}, what `declip_signal`
+reported per frame and the restored signal. The signal mixes frames with
+clipped samples and clip-free frames, and its length is off the hop grid.
+
+The file was written by the per-frame solver at commit 9a804b1, before the
+batched solver core replaced it, by running this module as a script:
+
+    mkdir SEED && git archive 9a804b1 | tar -x -C SEED
+    cp tests/test_golden.py SEED/tests/
+    cd SEED && PYTHONPATH=src python tests/test_golden.py OUT.npz
+
+Frames with a clipped sample must reproduce the pinned iterations, final k
+and convergence exactly, and the output must stay within 1e-12 of the
+pinned one. Frames without a clipped sample are no longer iterated: they
+must report 0 iterations and leave the observation unchanged, bit for bit.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spadeclip import SolverParams, Variant, declip_signal
+
+GOLDEN = Path(__file__).parent / "data" / "golden_seed.npz"
+FRAME_LEN = 128
+HOP = 48
+THETA = 0.5
+CONFIGS = list(
+    itertools.product(("aspade", "sspade", "sspade-dr"), (1, 2), (1, 2))
+)
+
+
+def _key(variant: str, redundancy: int, r: int) -> str:
+    return f"{variant}_red{redundancy}_r{r}"
+
+
+def golden_signal() -> np.ndarray:
+    """Clipped loud bursts around a quiet unclipped stretch; 701 samples."""
+    n = 701
+    t = np.arange(n)
+    tone = (
+        np.sin(2 * np.pi * 5 * t / 128 + 0.3)
+        + 0.6 * np.sin(2 * np.pi * 11 * t / 128 + 1.2)
+        + 0.3 * np.sin(2 * np.pi * 19 * t / 128 + 2.5)
+    )
+    envelope = np.where((t >= 220) & (t < 520), 0.2, 1.0)
+    noise = 0.01 * np.random.default_rng(0).standard_normal(n)
+    x = envelope * tone / np.max(np.abs(tone)) + noise
+    return np.clip(x, -THETA, THETA)
+
+
+def _run(y, variant, redundancy, r):
+    params = SolverParams(s=1, r=r, epsilon=0.1, variant=Variant(variant))
+    return declip_signal(
+        y, THETA, params, frame_len=FRAME_LEN, hop=HOP, redundancy=redundancy
+    )
+
+
+def write_golden(path) -> None:
+    y = golden_signal()
+    data = {"y": y}
+    for variant, redundancy, r in CONFIGS:
+        restored, report = _run(y, variant, redundancy, r)
+        key = _key(variant, redundancy, r)
+        data[f"{key}_iterations"] = [f.iterations for f in report.per_frame]
+        data[f"{key}_final_k"] = [f.final_k for f in report.per_frame]
+        data[f"{key}_converged"] = [f.converged for f in report.per_frame]
+        data[f"{key}_output"] = restored
+    np.savez_compressed(path, **data)
+
+
+def _clipped_frames(y: np.ndarray) -> np.ndarray:
+    """Per planned frame: does it hold a sample at or beyond +-theta?"""
+    num_frames = -(-(len(y) - FRAME_LEN) // HOP) + 1
+    clipped = np.abs(y) >= THETA - 1e-6
+    return np.array(
+        [clipped[m * HOP : m * HOP + FRAME_LEN].any() for m in range(num_frames)]
+    )
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN) as data:
+        return dict(data)
+
+
+def test_golden_signal_mixes_clipped_and_clip_free_frames(golden):
+    y = golden["y"]
+    np.testing.assert_array_equal(y, golden_signal())
+    assert (len(y) - FRAME_LEN) % HOP != 0  # the last frame is zero-padded
+    flags = _clipped_frames(y)
+    assert flags.any() and not flags.all()
+
+
+@pytest.mark.parametrize("variant,redundancy,r", CONFIGS)
+def test_matches_golden(golden, variant, redundancy, r):
+    y = golden["y"]
+    key = _key(variant, redundancy, r)
+    restored, report = _run(y, variant, redundancy, r)
+    flags = _clipped_frames(y)
+    assert len(report.per_frame) == len(flags)
+
+    iterations = np.array([f.iterations for f in report.per_frame])
+    final_k = np.array([f.final_k for f in report.per_frame])
+    converged = np.array([f.converged for f in report.per_frame])
+    np.testing.assert_array_equal(iterations[flags], golden[f"{key}_iterations"][flags])
+    np.testing.assert_array_equal(final_k[flags], golden[f"{key}_final_k"][flags])
+    np.testing.assert_array_equal(converged[flags], golden[f"{key}_converged"][flags])
+    np.testing.assert_allclose(restored, golden[f"{key}_output"], rtol=0, atol=1e-12)
+
+    assert np.all(iterations[~flags] == 0)
+    assert np.all(converged[~flags])
+    for m in np.flatnonzero(~flags):
+        span = slice(m * HOP, min(m * HOP + FRAME_LEN, len(y)))
+        np.testing.assert_array_equal(restored[span], y[span])
+
+
+if __name__ == "__main__":
+    write_golden(sys.argv[1] if len(sys.argv) > 1 else GOLDEN)

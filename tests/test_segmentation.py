@@ -6,6 +6,7 @@ from spadeclip.segmentation import (
     SegmentationPlan,
     overlap_add,
     plan_segmentation,
+    restrict_frames,
     restrict_model,
     shifted_hann,
     split,
@@ -121,3 +122,16 @@ def test_mask_classification_consistent_across_frames():
                 assert sub.mask_r[j] == model.mask_r[lo + j]
                 assert sub.mask_h[j] == model.mask_h[lo + j]
                 assert sub.mask_l[j] == model.mask_l[lo + j]
+
+
+def test_restrict_frames_stacks_restrict_model():
+    rng = np.random.default_rng(2)
+    y = hard_clip(rng.standard_normal(61), 0.8)  # off the hop grid: padded tail
+    model = detect_masks(y, 0.8)
+    plan = plan_segmentation(61, 16, 6)
+    frames = restrict_frames(model, plan)
+    assert frames.y.shape == (plan.num_frames, 16)
+    for m in range(plan.num_frames):
+        sub = restrict_model(model, m, plan)
+        for name in ("y", "mask_r", "mask_h", "mask_l"):
+            np.testing.assert_array_equal(getattr(frames, name)[m], getattr(sub, name))

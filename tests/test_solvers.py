@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.frames import make_frame
@@ -68,6 +71,40 @@ def test_hard_threshold_matches_support_enumeration():
                     for supp in itertools.combinations(range(p), min(k, p))
                 )
                 assert abs(obj - best) <= 1e-12
+
+
+def _threshold_reference(s, k):
+    out = np.zeros_like(s)
+    keep = np.argsort(-np.abs(s), kind="stable")[:k]
+    out[keep] = s[keep]
+    return out
+
+
+# complex entries on a small integer grid: magnitudes tie often
+_grid = st.integers(-3, 3)
+
+
+@st.composite
+def _threshold_case(draw):
+    rows = draw(st.sampled_from([None, 1, 2, 5]))
+    n = draw(st.integers(1, 24))
+    shape = (n,) if rows is None else (rows, n)
+    re = draw(hnp.arrays(np.int64, shape, elements=_grid))
+    im = draw(hnp.arrays(np.int64, shape, elements=_grid))
+    return re + 1j * im, draw(st.integers(0, n + 1))
+
+
+@given(_threshold_case())
+def test_hard_threshold_matches_stable_argsort(case):
+    s, k = case
+    out = hard_threshold(s, k)
+    expected = (
+        _threshold_reference(s, k)
+        if s.ndim == 1
+        else np.array([_threshold_reference(row, k) for row in s])
+    )
+    assert out.dtype == s.dtype
+    np.testing.assert_array_equal(out, expected)
 
 
 # ---------------------------------------------------------------- single steps
