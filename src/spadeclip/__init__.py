@@ -7,7 +7,7 @@ clipping-consistent signals.
 """
 
 from .feasible import ClipModel, detect_masks, hard_clip, project_gamma, project_gamma_coef
-from .frames import FrameKind, FrameOperator, make_frame
+from .frames import FrameOperator, make_frame
 from .metrics import DeclipReport, sdr, sdr_masked
 from .pipeline import declip_signal
 from .segmentation import (
@@ -31,7 +31,6 @@ from .solvers import (
 __all__ = [
     "ClipModel",
     "DeclipReport",
-    "FrameKind",
     "FrameOperator",
     "SegmentationPlan",
     "SolveResult",

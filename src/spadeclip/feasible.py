@@ -1,10 +1,10 @@
 """Clipping model and projections onto the set of clipping-consistent signals.
 
-A clipped observation y with threshold theta partitions samples into
-reliable, clipped-high and clipped-low sets. A signal is consistent with
-the observation when it equals y on reliable samples, is >= theta on
-clipped-high samples and <= -theta on clipped-low samples. The projection
-onto this set is componentwise.
+A clipped observation y with threshold theta admits the signals that equal
+y on reliable samples, are >= theta on clipped-high samples and <= -theta
+on clipped-low samples. That set is a box: every sample has a lower and an
+upper bound (lo = hi = y, [theta, +inf) or (-inf, -theta]), and the
+Euclidean projection onto it is an elementwise clamp.
 """
 
 from __future__ import annotations
@@ -28,49 +28,51 @@ DEFAULT_DELTA_DETECT = 1e-6
 
 @dataclass(frozen=True)
 class ClipModel:
-    """Observed clipped signal together with its sample classification.
+    """Observed clipped signal and the box of signals consistent with it.
 
-    `mask_r`, `mask_h`, `mask_l` are boolean arrays over the samples
-    (reliable / clipped-high / clipped-low) that partition the signal.
-    A batch of frames stacks `y` and the masks along a leading axis.
+    Each sample x[n] must satisfy lo[n] <= x[n] <= hi[n]: a reliable sample
+    has lo = hi = y, a clipped-high one [theta, +inf), a clipped-low one
+    (-inf, -theta]. The masks `mask_r`, `mask_h`, `mask_l` (reliable /
+    clipped-high / clipped-low) are read off the bounds. A batch of frames
+    stacks `y` and the bounds along a leading axis.
     """
 
     y: np.ndarray
     theta: float
-    mask_r: np.ndarray
-    mask_h: np.ndarray
-    mask_l: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
         if self.theta <= 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
         shape = np.shape(self.y)
-        for name in ("mask_r", "mask_h", "mask_l"):
-            m = getattr(self, name)
-            if m.shape != shape or m.dtype != bool:
-                raise ValueError(f"{name} must be a boolean array of shape {shape}")
-        count = (
-            self.mask_r.astype(int) + self.mask_h.astype(int) + self.mask_l.astype(int)
-        )
-        if not np.all(count == 1):
-            raise ValueError("masks must partition the sample indices")
+        if np.shape(self.lo) != shape or np.shape(self.hi) != shape:
+            raise ValueError(f"lo and hi must have the shape of y, {shape}")
+        if not np.all(self.lo <= self.hi):
+            raise ValueError("lo must not exceed hi")
 
     def __len__(self) -> int:
         return len(self.y)
 
     @property
+    def mask_r(self) -> np.ndarray:
+        return self.lo == self.hi
+
+    @property
+    def mask_h(self) -> np.ndarray:
+        return self.hi == np.inf
+
+    @property
+    def mask_l(self) -> np.ndarray:
+        return self.lo == -np.inf
+
+    @property
     def num_clipped(self) -> int:
-        return int(np.count_nonzero(self.mask_h) + np.count_nonzero(self.mask_l))
+        return int(np.count_nonzero(self.lo != self.hi))
 
     def select(self, rows) -> ClipModel:
         """The model of the chosen frames of a batch (boolean or index rows)."""
-        return ClipModel(
-            y=self.y[rows],
-            theta=self.theta,
-            mask_r=self.mask_r[rows],
-            mask_h=self.mask_h[rows],
-            mask_l=self.mask_l[rows],
-        )
+        return ClipModel(self.y[rows], self.theta, self.lo[rows], self.hi[rows])
 
 
 def hard_clip(x: np.ndarray, theta: float) -> np.ndarray:
@@ -86,35 +88,37 @@ def detect_masks(
     """Classify samples of y against the clip threshold.
 
     Samples within `delta_detect` of +-theta count as clipped; the rest
-    are reliable.
+    are reliable. Raises ValueError if y holds a NaN or an infinity.
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
     if delta_detect < 0:
         raise ValueError(f"delta_detect must be nonnegative, got {delta_detect}")
     y = np.asarray(y, dtype=float)
-    mask_h = y >= theta - delta_detect
-    mask_l = y <= -theta + delta_detect
+    if not np.all(np.isfinite(y)):
+        raise ValueError("signal holds non-finite samples (NaN or inf)")
+    high = y >= theta - delta_detect
     # pathological theta <= delta_detect could classify a sample both ways
-    mask_l &= ~mask_h
-    mask_r = ~(mask_h | mask_l)
-    return ClipModel(y=y, theta=theta, mask_r=mask_r, mask_h=mask_h, mask_l=mask_l)
+    low = (y <= -theta + delta_detect) & ~high
+    lo = np.where(high, theta, np.where(low, -np.inf, y))
+    hi = np.where(high, np.inf, np.where(low, -theta, y))
+    return ClipModel(y=y, theta=theta, lo=lo, hi=hi)
 
 
 def project_gamma(v: np.ndarray, model: ClipModel) -> np.ndarray:
     """Euclidean projection of v onto the clipping-consistent set.
 
-    Reliable samples are pinned to y; clipped-high samples are raised to at
-    least theta, clipped-low samples lowered to at most -theta. For a
-    batched model, v holds one frame per row.
+    Each sample is clamped into its box [lo, hi]: reliable samples are
+    pinned to y, clipped-high samples raised to at least theta, clipped-low
+    samples lowered to at most -theta. For a batched model, v holds one
+    frame per row.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != model.y.shape:
         raise ValueError(f"expected shape {model.y.shape}, got {v.shape}")
-    out = np.where(model.mask_r, model.y, v)
-    np.maximum(out, model.theta, out=out, where=model.mask_h)
-    np.minimum(out, -model.theta, out=out, where=model.mask_l)
-    return out
+    # the bounds go second: on a tie (0.0 against -0.0) numpy's maximum and
+    # minimum return the second operand, so reliable samples keep y's bits
+    return np.minimum(np.maximum(v, model.lo), model.hi)
 
 
 def project_gamma_coef(

@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["FrameKind", "FrameOperator", "make_frame"]
-
-
-class FrameKind(Enum):
-    UNITARY_DFT = "unitary_dft"
-    REDUNDANT_DFT = "redundant_dft"
+__all__ = ["FrameOperator", "make_frame"]
 
 
 @dataclass(frozen=True)
@@ -30,12 +24,12 @@ class FrameOperator:
     """Analysis/synthesis pair for a tight DFT frame.
 
     Immutable; `analyze` and `synthesize` are pure and act on one frame or
-    on a batch of frames stacked along a leading axis.
+    on a batch of frames stacked along a leading axis. The frame is the
+    unitary DFT when `coeff_len == signal_len`, redundant otherwise.
     """
 
     signal_len: int
     coeff_len: int
-    kind: FrameKind
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """Map a real length-N signal to P complex coefficients.
@@ -85,6 +79,4 @@ def make_frame(signal_len: int, redundancy: float | Fraction = 1) -> FrameOperat
         raise ValueError(
             f"redundancy {redundancy} times N={signal_len} is not an integer"
         )
-    coeff_len = int(p_exact)
-    kind = FrameKind.UNITARY_DFT if coeff_len == signal_len else FrameKind.REDUNDANT_DFT
-    return FrameOperator(signal_len=signal_len, coeff_len=coeff_len, kind=kind)
+    return FrameOperator(signal_len=signal_len, coeff_len=int(p_exact))

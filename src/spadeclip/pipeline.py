@@ -63,7 +63,7 @@ def declip_signal(
     runtime = time.perf_counter() - t0
 
     ref = y if reference is None else np.asarray(reference, dtype=float)
-    clipped = model.mask_h | model.mask_l
+    clipped = ~model.mask_r
     report = DeclipReport(
         sdr_clipped_input=sdr(ref, y),
         sdr_restored=sdr(ref, restored),

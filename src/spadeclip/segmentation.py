@@ -111,26 +111,20 @@ def overlap_add(
 def restrict_model(
     model: ClipModel, frame_index: int, plan: SegmentationPlan
 ) -> ClipModel:
-    """Clip model for one frame: global masks and y restricted to its range.
+    """Clip model for one frame: y and the global bounds restricted to its range.
 
     Tail-padding samples beyond the signal are reliable with y = 0.
     """
     if not 0 <= frame_index < plan.num_frames:
         raise ValueError(f"frame index {frame_index} out of range")
     n = plan.frame_len
-    lo = frame_index * plan.hop
-    avail = max(0, min(len(model), lo + n) - lo)
-    y = np.zeros(n)
-    mask_r = np.ones(n, dtype=bool)
-    mask_h = np.zeros(n, dtype=bool)
-    mask_l = np.zeros(n, dtype=bool)
-    y[:avail] = model.y[lo : lo + avail]
-    mask_r[:avail] = model.mask_r[lo : lo + avail]
-    mask_h[:avail] = model.mask_h[lo : lo + avail]
-    mask_l[:avail] = model.mask_l[lo : lo + avail]
-    return ClipModel(
-        y=y, theta=model.theta, mask_r=mask_r, mask_h=mask_h, mask_l=mask_l
-    )
+    start = frame_index * plan.hop
+    avail = max(0, min(len(model), start + n) - start)
+    y, lo, hi = np.zeros(n), np.zeros(n), np.zeros(n)
+    y[:avail] = model.y[start : start + avail]
+    lo[:avail] = model.lo[start : start + avail]
+    hi[:avail] = model.hi[start : start + avail]
+    return ClipModel(y=y, theta=model.theta, lo=lo, hi=hi)
 
 
 def restrict_frames(model: ClipModel, plan: SegmentationPlan) -> ClipModel:
@@ -139,7 +133,6 @@ def restrict_frames(model: ClipModel, plan: SegmentationPlan) -> ClipModel:
     return ClipModel(
         y=_frames_of(model.y, plan, 0.0),
         theta=model.theta,
-        mask_r=_frames_of(model.mask_r, plan, True),
-        mask_h=_frames_of(model.mask_h, plan, False),
-        mask_l=_frames_of(model.mask_l, plan, False),
+        lo=_frames_of(model.lo, plan, 0.0),
+        hi=_frames_of(model.hi, plan, 0.0),
     )

@@ -173,16 +173,7 @@ def _norm(a: np.ndarray):
 
 
 def _advance(state: SolverState, params: SolverParams, u_new, residual, **kw) -> SolverState:
-    """Apply the shared dual/counter/sparsity bookkeeping after a step.
-
-    A frame whose residual meets epsilon keeps its dual; i and k advance
-    unless every frame did.
-    """
-    done = np.asarray(residual <= params.epsilon)
-    if done.all():
-        return replace(state, residual=residual, **kw)
-    if done.any():
-        u_new = np.where(done[..., None], state.u, u_new)
+    """Apply the shared dual/counter/sparsity bookkeeping after a step."""
     i = state.i + 1
     k = state.k + params.s if i % params.r == 0 else state.k
     return replace(state, u=u_new, residual=residual, i=i, k=k, **kw)
@@ -278,11 +269,9 @@ def solve_batch(
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
     rows = np.arange(num)  # frame index of each row still in the batch
-    n_iter = 0
     while rows.size:
         k_before = state.k
         state = step_fn(state, model, op, params)
-        n_iter += 1
         done = state.residual <= params.epsilon
         k = np.where(done, k_before, state.k)  # a converged frame does not advance k
         better = state.residual < best_residual[rows]
@@ -292,7 +281,7 @@ def solve_batch(
         retired = done | (k > max_k)
         if retired.any():
             converged[rows[done]] = True
-            iterations[rows[retired]] = n_iter
+            iterations[rows[retired]] = state.i
             stay = ~retired
             rows = rows[stay]
             state = state.select(stay)

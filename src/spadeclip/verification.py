@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .feasible import ClipModel, detect_masks, hard_clip, project_gamma
-from .frames import FrameKind, FrameOperator, make_frame
+from .frames import FrameOperator, make_frame
 from .solvers import (
     SolverParams,
     Variant,
@@ -202,7 +202,7 @@ def check_unitary_equivalence(
     n = len(model)
     if op is None:
         op = make_frame(n, 1)
-    if op.kind is not FrameKind.UNITARY_DFT or op.signal_len != n:
+    if op.coeff_len != op.signal_len or op.signal_len != n:
         raise ValueError("equivalence check requires a unitary frame over the model")
     # the termination test must never fire, or the variants' schedules desync
     lockstep = replace(params, epsilon=0.0)

@@ -154,6 +154,22 @@ def test_declip_missing_input(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("theta", ["auto", "0.4"])
+def test_declip_rejects_nan_wav(tmp_path, capsys, theta):
+    y = np.clip(sparse_signal(512), -0.4, 0.4).astype(np.float32)
+    y[100] = np.nan
+    src = tmp_path / "nan.wav"
+    wavfile.write(src, RATE, y)
+    out = tmp_path / "out.wav"
+    code, _ = run_cli(
+        "declip", "--input", src, "--output", out, "--theta", theta,
+        "--frame-len", 256, "--hop", 64,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
     out = tmp_path / "bench.csv"
     code, _ = run_cli(
@@ -212,6 +228,14 @@ def test_pipeline_reliable_passthrough_bitexact():
     assert np.all(restored[model.mask_h] >= theta)
     assert np.all(restored[model.mask_l] <= -theta)
     assert report.sdr_restored > report.sdr_clipped_input
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_declip_signal_rejects_non_finite(bad):
+    y = np.clip(sparse_signal(512), -0.4, 0.4)
+    y[100] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64)
 
 
 def test_pipeline_batch_equals_frames_solved_alone():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spadeclip.feasible import (
     ClipModel,
@@ -9,6 +12,7 @@ from spadeclip.feasible import (
     project_gamma_coef,
 )
 from spadeclip.frames import make_frame
+from spadeclip.segmentation import plan_segmentation, restrict_frames
 
 
 def simple_model():
@@ -54,9 +58,87 @@ def test_masks_partition():
 
 
 def test_clip_model_validation():
-    n = np.array([True, False])
+    y = np.zeros(2)
+    with pytest.raises(ValueError):  # bounds of another shape than y
+        ClipModel(y, 1.0, lo=np.zeros(3), hi=np.zeros(3))
+    with pytest.raises(ValueError):  # an empty box
+        ClipModel(y, 1.0, lo=np.array([0.0, 1.0]), hi=np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
-        ClipModel(np.zeros(2), 1.0, mask_r=n, mask_h=n, mask_l=~n)
+        ClipModel(y, 0.0, lo=y, hi=y)
+
+
+# ---------------------------------------------------------------- box properties
+
+
+def _masks_reference(y, theta, delta):
+    """Sample classes as thresholds on y, independent of the box bounds."""
+    mask_h = y >= theta - delta
+    mask_l = (y <= -theta + delta) & ~mask_h
+    return ~(mask_h | mask_l), mask_h, mask_l
+
+
+def _projection_reference(v, y, theta, delta):
+    """The consistency projection written with three masks."""
+    mask_r, mask_h, mask_l = _masks_reference(y, theta, delta)
+    out = np.where(mask_r, y, v)
+    np.maximum(out, theta, out=out, where=mask_h)
+    np.minimum(out, -theta, out=out, where=mask_l)
+    return out
+
+
+@st.composite
+def _box_case(draw):
+    """Random y, theta and delta (including theta <= delta), one frame or a
+    batch, and a v that often ties y, -y or a threshold (signed zeros too)."""
+    rows = draw(st.sampled_from([None, 1, 3]))
+    n = draw(st.integers(1, 16))
+    shape = (n,) if rows is None else (rows, n)
+    theta = draw(st.floats(0.01, 2.0))
+    delta = draw(
+        st.one_of(st.floats(1e-9, 0.5 * theta), st.floats(theta, 3 * theta))
+    )
+    near = [theta, -theta, theta - delta / 2, -theta + delta / 2, 0.0, -0.0]
+    sample = st.one_of(st.floats(-4, 4), st.sampled_from(near))
+    y = draw(hnp.arrays(float, shape, elements=sample))
+    free = draw(hnp.arrays(float, shape, elements=sample))
+    pick = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2)))
+    v = np.choose(pick, [free, y, -y])
+    return y, theta, delta, v
+
+
+@given(_box_case())
+def test_project_gamma_equals_three_mask_formula_bitwise(case):
+    y, theta, delta, v = case
+    out = project_gamma(v, detect_masks(y, theta, delta))
+    expected = _projection_reference(v, y, theta, delta)
+    np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+@given(_box_case())
+def test_derived_masks_partition_and_match_thresholds(case):
+    y, theta, delta, _ = case
+    m = detect_masks(y, theta, delta)
+    total = m.mask_r.astype(int) + m.mask_h.astype(int) + m.mask_l.astype(int)
+    assert np.all(total == 1)
+    for got, ref in zip((m.mask_r, m.mask_h, m.mask_l), _masks_reference(y, theta, delta)):
+        np.testing.assert_array_equal(got, ref)
+    assert m.num_clipped == np.count_nonzero(~m.mask_r)
+
+
+@given(
+    hnp.arrays(float, st.integers(1, 40), elements=st.floats(-2, 2)),
+    st.integers(1, 12),
+    st.integers(1, 12),
+)
+def test_restrict_frames_padding_is_reliable_zero(y, frame_len, hop):
+    hop = min(hop, frame_len)
+    plan = plan_segmentation(len(y), frame_len, hop)
+    frames = restrict_frames(detect_masks(y, 0.5), plan)
+    pos = np.arange(plan.num_frames)[:, None] * hop + np.arange(frame_len)
+    pad = pos >= len(y)
+    assert np.all(frames.mask_r[pad])
+    assert np.all(frames.y[pad] == 0)
+    np.testing.assert_array_equal(frames.y[~pad], y[pos[~pad]])
 
 
 def test_project_gamma_componentwise_example():

@@ -133,5 +133,5 @@ def test_restrict_frames_stacks_restrict_model():
     assert frames.y.shape == (plan.num_frames, 16)
     for m in range(plan.num_frames):
         sub = restrict_model(model, m, plan)
-        for name in ("y", "mask_r", "mask_h", "mask_l"):
+        for name in ("y", "lo", "hi", "mask_r", "mask_h", "mask_l"):
             np.testing.assert_array_equal(getattr(frames, name)[m], getattr(sub, name))
