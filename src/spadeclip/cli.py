@@ -74,11 +74,8 @@ def cmd_clip(args) -> int:
 
 def cmd_declip(args) -> int:
     rate, y = read_wav(args.input)
-    theta = (
-        float(np.max(np.abs(y))) - args.delta_detect
-        if args.theta == "auto"
-        else float(args.theta)
-    )
+    # detection already admits samples within delta of theta as clipped
+    theta = float(np.max(np.abs(y))) if args.theta == "auto" else float(args.theta)
     params = SolverParams(
         s=args.s, r=args.r, epsilon=args.epsilon, variant=VARIANTS[args.variant]
     )
@@ -162,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_declip.add_argument("--output", required=True)
     p_declip.add_argument("--variant", choices=sorted(VARIANTS), default="aspade")
     p_declip.add_argument(
-        "--theta", default="auto", help='clip threshold, or "auto" (max |y| minus delta)'
+        "--theta", default="auto", help='clip threshold, or "auto" (the peak |y|)'
     )
     p_declip.add_argument("--csv", help="also write the report as one CSV row")
     _add_solver_args(p_declip)

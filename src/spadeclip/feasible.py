@@ -43,7 +43,7 @@ class ClipModel:
     hi: np.ndarray
 
     def __post_init__(self):
-        if self.theta <= 0:
+        if not self.theta > 0:  # also rejects NaN
             raise ValueError(f"theta must be positive, got {self.theta}")
         shape = np.shape(self.y)
         if np.shape(self.lo) != shape or np.shape(self.hi) != shape:
@@ -77,7 +77,7 @@ class ClipModel:
 
 def hard_clip(x: np.ndarray, theta: float) -> np.ndarray:
     """Clamp every sample of x to the interval [-theta, theta]."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     return np.clip(np.asarray(x, dtype=float), -theta, theta)
 
@@ -90,7 +90,7 @@ def detect_masks(
     Samples within `delta_detect` of +-theta count as clipped; the rest
     are reliable. Raises ValueError if y holds a NaN or an infinity.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     if delta_detect < 0:
         raise ValueError(f"delta_detect must be nonnegative, got {delta_detect}")

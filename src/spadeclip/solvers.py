@@ -63,7 +63,9 @@ class SolverParams:
 
     k starts at `s` and grows by `s` every `r` iterations; the solve stops
     once the residual is <= `epsilon` or k exceeds `max_k` (default: the
-    coefficient count).
+    coefficient count P//2 + 1 of the frame). k counts half-spectrum
+    coefficients, so each step keeps whole conjugate pairs of the full
+    DFT; DC and Nyquist count one each.
     """
 
     s: int = 1

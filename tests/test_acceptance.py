@@ -81,8 +81,9 @@ def test_criterion_4_projection_transposition():
     op = make_frame(8, 2)
     model = make_test_model(n=8, harmonics=(1, 3), amps=(1.0, 0.5), phases=(0.2, 1.4))
     violations = 0
+    q = op.coeff_len
     for _ in range(20):
-        s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        s = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         x_star = project_gamma(op.synthesize(s), model)
         obj = np.linalg.norm(op.analyze(x_star) - s)
         for _ in range(100):

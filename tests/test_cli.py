@@ -170,6 +170,38 @@ def test_declip_rejects_nan_wav(tmp_path, capsys, theta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["clip", "declip"])
+def test_cli_rejects_nan_theta(clean_wav, tmp_path, capsys, command):
+    out = tmp_path / "out.wav"
+    code, _ = run_cli(command, "--input", clean_wav, "--output", out, "--theta", "nan")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_declip_theta_auto_is_the_peak(tmp_path):
+    # detection admits samples within delta of theta, so theta itself is the
+    # peak: a sample 1.5 delta below it is reliable and passes through
+    delta = 0.01
+    y = np.clip(sparse_signal(512), -0.5, 0.5).astype(np.float32)
+    y[200] = np.float32(0.5 - 1.5 * delta)
+    src = tmp_path / "auto.wav"
+    wavfile.write(src, RATE, y)
+    out = tmp_path / "out.wav"
+    code, text = run_cli(
+        "declip", "--input", src, "--output", out, "--theta", "auto",
+        "--delta-detect", delta, "--frame-len", 256, "--hop", 64,
+    )
+    assert code == 0
+    clipped = np.abs(y) >= 0.5 - delta
+    assert np.abs(y[clipped]).min() < 0.5  # unclipped samples near the peak count too
+    assert f"clipped samples: {np.count_nonzero(clipped)} of" in text
+    _, restored = read_wav(str(out))
+    assert restored[200] == y[200]
+    np.testing.assert_array_equal(restored[~clipped], y[~clipped])
+    assert np.all(np.abs(restored[clipped]) >= np.float32(0.5))
+
+
 def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
     out = tmp_path / "bench.csv"
     code, _ = run_cli(
@@ -236,6 +268,12 @@ def test_declip_signal_rejects_non_finite(bad):
     y[100] = bad
     with pytest.raises(ValueError, match="non-finite"):
         declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64)
+
+
+def test_declip_signal_rejects_nan_theta():
+    y = np.clip(sparse_signal(512), -0.4, 0.4)
+    with pytest.raises(ValueError, match="theta"):
+        declip_signal(y, float("nan"), SolverParams(), frame_len=256, hop=64)
 
 
 def test_pipeline_batch_equals_frames_solved_alone():

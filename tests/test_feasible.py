@@ -191,8 +191,9 @@ def test_project_gamma_coef_zero_correction():
 
 
 def test_project_gamma_coef_matches_direct_formula_unitary():
-    # agreement needs conjugate-symmetric coefficients: the direct formula
-    # discards the component of c in the kernel of synthesize
+    # agreement needs c in the range of analyze: the direct formula discards
+    # the component of c in the kernel of synthesize (on a unitary frame, the
+    # imaginary parts of DC and Nyquist)
     op = make_frame(16, 1)
     rng = np.random.default_rng(4)
     y = hard_clip(rng.standard_normal(16), 0.5)
@@ -209,8 +210,9 @@ def test_project_gamma_coef_feasibility():
     rng = np.random.default_rng(5)
     y = hard_clip(rng.standard_normal(16), 0.5)
     m = detect_masks(y, 0.5)
+    q = op.coeff_len
     for _ in range(100):
-        c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         v = op.synthesize(project_gamma_coef(c, m, op))
         assert np.max(np.abs(v[m.mask_r] - y[m.mask_r])) <= 1e-10
         assert np.all(v[m.mask_h] >= m.theta - 1e-10)
@@ -223,12 +225,13 @@ def test_project_gamma_coef_is_projection_sampling_oracle():
     rng = np.random.default_rng(6)
     y = hard_clip(rng.standard_normal(8), 0.5)
     m = detect_masks(y, 0.5)
+    q = op.coeff_len
     for _ in range(20):
-        c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         z = project_gamma_coef(c, m, op)
         d = np.linalg.norm(z - c)
         for _ in range(50):
-            w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            w = rng.standard_normal(q) + 1j * rng.standard_normal(q)
             w_feas = project_gamma_coef(w, m, op)
             assert d <= np.linalg.norm(w_feas - c) + 1e-10
 

@@ -5,27 +5,36 @@ from spadeclip.frames import make_frame
 
 
 def naive_analysis_matrix(n, p):
-    """O(N*P) DFT matrix built entry by entry; independent of the FFT path."""
-    mat = np.empty((p, n), dtype=complex)
-    for row in range(p):
+    """O(N*P) half-spectrum DFT matrix built entry by entry; independent of the FFT path.
+
+    Rows are the bins 0..P//2; interior bins carry a conjugate pair and are
+    weighted by sqrt(2), DC and Nyquist by 1.
+    """
+    mat = np.empty((p // 2 + 1, n), dtype=complex)
+    for row in range(p // 2 + 1):
+        weight = 1.0 if row == 0 or 2 * row == p else np.sqrt(2)
         for col in range(n):
-            mat[row, col] = np.exp(-2j * np.pi * row * col / p)
+            mat[row, col] = weight * np.exp(-2j * np.pi * row * col / p)
     return mat / np.sqrt(p)
 
 
 def test_make_frame_unitary():
-    op = make_frame(64, 1)
-    assert op.signal_len == 64
-    assert op.coeff_len == 64
+    for n in (63, 64):
+        op = make_frame(n, 1)
+        assert op.signal_len == n
+        assert op.dft_len == n
+        assert op.coeff_len == n // 2 + 1
 
 
 @pytest.mark.parametrize("redundancy,p", [(2, 128), (1.5, 96)])
 def test_make_frame_redundant_parseval_matrix_oracle(redundancy, p):
     op = make_frame(64, redundancy)
-    assert op.coeff_len == p
-    assert op.coeff_len != op.signal_len
+    assert op.dft_len == p
+    assert op.coeff_len == p // 2 + 1
+    assert op.dft_len != op.signal_len
     a = naive_analysis_matrix(64, p)
-    gram = a.conj().T @ a
+    # Parseval under the real inner product: Re(A^H A) = I
+    gram = np.real(a.conj().T @ a)
     assert np.max(np.abs(gram - np.eye(64))) < 1e-10
 
 
@@ -44,16 +53,21 @@ def test_analyze_known_values():
         op.analyze(np.array([1.0, 1.0])), [np.sqrt(2), 0], atol=1e-12
     )
     op4 = make_frame(4, 1)
+    # DC and Nyquist unweighted, the interior bin carries its pair's energy
     np.testing.assert_allclose(
-        op4.analyze(np.array([1.0, 0, 0, 0])), [0.5, 0.5, 0.5, 0.5], atol=1e-12
+        op4.analyze(np.array([1.0, 0, 0, 0])), [0.5, 0.5 * np.sqrt(2), 0.5], atol=1e-12
+    )
+    op3 = make_frame(3, 1)  # odd length: no Nyquist bin
+    np.testing.assert_allclose(
+        op3.analyze(np.array([1.0, 0, 0])), [1, np.sqrt(2)] / np.sqrt(3), atol=1e-12
     )
 
 
 def test_analyze_matches_naive_matrix():
     rng = np.random.default_rng(7)
-    for n, red in [(8, 1), (8, 2), (6, 1.5)]:
+    for n, red in [(8, 1), (7, 1), (8, 2), (7, 2), (6, 1.5)]:
         op = make_frame(n, red)
-        a = naive_analysis_matrix(n, op.coeff_len)
+        a = naive_analysis_matrix(n, op.dft_len)
         for _ in range(5):
             x = rng.standard_normal(n)
             np.testing.assert_allclose(op.analyze(x), a @ x, atol=1e-12)
@@ -74,7 +88,7 @@ def test_analyze_length_mismatch():
     with pytest.raises(ValueError):
         op.analyze(np.zeros(9))
     with pytest.raises(ValueError):
-        op.synthesize(np.zeros(8, dtype=complex))
+        op.synthesize(np.zeros(16, dtype=complex))  # full spectrum: 9 bins expected
 
 
 def test_synthesize_known_values():
@@ -109,8 +123,10 @@ def test_synthesis_contraction_and_range_equality(redundancy):
         assert abs(np.linalg.norm(op.synthesize(cr)) - np.linalg.norm(cr)) <= 1e-10
 
 
-@pytest.mark.parametrize("redundancy", [1, 2])
+@pytest.mark.parametrize("redundancy", [1, 2, 1.125])
 def test_adjointness_stacked_inner_product(redundancy):
+    # DFT lengths 24 and 48 have a Nyquist bin, 27 has none; random c has
+    # imaginary DC and Nyquist parts, which synthesis must ignore
     op = make_frame(24, redundancy)
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -124,9 +140,10 @@ def test_adjointness_stacked_inner_product(redundancy):
 def test_orthogonal_decomposition_of_coefficients():
     # s - A(A*s) must be orthogonal to every analyzed signal
     op = make_frame(16, 2)
+    q = op.coeff_len
     rng = np.random.default_rng(5)
     for _ in range(20):
-        s = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        s = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         xi = op.synthesize(s)
         resid = s - op.analyze(xi)
         for _ in range(20):
@@ -138,7 +155,7 @@ def test_batch_rows_transform_as_alone():
     rng = np.random.default_rng(8)
     op = make_frame(24, 2)
     x = rng.standard_normal((5, 24))
-    c = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
+    c = rng.standard_normal((5, 25)) + 1j * rng.standard_normal((5, 25))
     a, s = op.analyze(x), op.synthesize(c)
     for m in range(5):
         np.testing.assert_array_equal(a[m], op.analyze(x[m]))

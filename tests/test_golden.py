@@ -5,17 +5,22 @@ combination of variant x redundancy {1, 2} x r {1, 2}, what `declip_signal`
 reported per frame and the restored signal. The signal mixes frames with
 clipped samples and clip-free frames, and its length is off the hop grid.
 
-The file was written by the per-frame solver at commit 9a804b1, before the
-batched solver core replaced it, by running this module as a script:
+The file was regenerated when the frame became the half-spectrum real DFT
+(k counts conjugate pairs), which changes every iterate, by running this
+module as a script from the root of the repository:
 
-    mkdir SEED && git archive 9a804b1 | tar -x -C SEED
-    cp tests/test_golden.py SEED/tests/
-    cd SEED && PYTHONPATH=src python tests/test_golden.py OUT.npz
+    PYTHONPATH=src python tests/test_golden.py
+
+The earlier file, written by the per-frame solver before the batched solver
+core replaced it, pinned the full-spectrum frame. So that the new pin does
+not rest on the code it pins, `test_dense_operator_reproduces_golden` runs
+the same pipeline with the FFT-free dense-matrix operator of
+`spadeclip.verification` and must reproduce it to the same tolerances.
 
 Frames with a clipped sample must reproduce the pinned iterations, final k
 and convergence exactly, and the output must stay within 1e-12 of the
-pinned one. Frames without a clipped sample are no longer iterated: they
-must report 0 iterations and leave the observation unchanged, bit for bit.
+pinned one. Frames without a clipped sample are not iterated: they must
+report 0 iterations and leave the observation unchanged, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadeclip import SolverParams, Variant, declip_signal
+from spadeclip import SolverParams, Variant, declip_signal, make_frame, pipeline
+from spadeclip.verification import dense_frame
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed.npz"
 FRAME_LEN = 128
@@ -100,8 +106,7 @@ def test_golden_signal_mixes_clipped_and_clip_free_frames(golden):
     assert flags.any() and not flags.all()
 
 
-@pytest.mark.parametrize("variant,redundancy,r", CONFIGS)
-def test_matches_golden(golden, variant, redundancy, r):
+def _assert_matches_golden(golden, variant, redundancy, r):
     y = golden["y"]
     key = _key(variant, redundancy, r)
     restored, report = _run(y, variant, redundancy, r)
@@ -121,6 +126,19 @@ def test_matches_golden(golden, variant, redundancy, r):
     for m in np.flatnonzero(~flags):
         span = slice(m * HOP, min(m * HOP + FRAME_LEN, len(y)))
         np.testing.assert_array_equal(restored[span], y[span])
+
+
+@pytest.mark.parametrize("variant,redundancy,r", CONFIGS)
+def test_matches_golden(golden, variant, redundancy, r):
+    _assert_matches_golden(golden, variant, redundancy, r)
+
+
+@pytest.mark.parametrize("variant,redundancy,r", CONFIGS)
+def test_dense_operator_reproduces_golden(golden, monkeypatch, variant, redundancy, r):
+    monkeypatch.setattr(
+        pipeline, "make_frame", lambda n, red: dense_frame(make_frame(n, red))
+    )
+    _assert_matches_golden(golden, variant, redundancy, r)
 
 
 if __name__ == "__main__":

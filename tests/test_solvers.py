@@ -133,27 +133,27 @@ def test_aspade_full_sparsity_converges_first_iteration():
 
 
 def test_aspade_first_step_matches_dense_matrix_reference():
-    # even sparsity: an odd cut would fall between the near-equal magnitudes
-    # of a conjugate bin pair, where fft and dense-matrix rounding may
-    # order differently
+    # an odd sparsity: each kept half-spectrum bin is a whole conjugate pair
     n = 16
     t = np.arange(n)
     x = np.sin(2 * np.pi * 3 * t / n + 0.3) + 0.6 * np.sin(2 * np.pi * 5 * t / n + 1.1)
     theta = 0.5 * np.max(np.abs(x))
     model = detect_masks(hard_clip(x, theta), theta, delta_detect=0.0)
     op = make_frame(16, 2)
-    p = op.coeff_len
-    a_mat = np.exp(
-        -2j * np.pi * np.outer(np.arange(p), np.arange(16)) / p
+    p = op.dft_len
+    bins = np.arange(p // 2 + 1)
+    weights = np.where((bins == 0) | (2 * bins == p), 1.0, np.sqrt(2))
+    a_mat = weights[:, None] * np.exp(
+        -2j * np.pi * np.outer(bins, np.arange(16)) / p
     ) / np.sqrt(p)
 
-    params = SolverParams(s=4, variant=Variant.ASPADE)
+    params = SolverParams(s=3, variant=Variant.ASPADE)
     state = aspade_step(init_state(model, op, params), model, op, params)
 
     # matrix-form reference for one step from u=0, x_hat=y
     c = a_mat @ model.y
-    z_ref = np.zeros(p, dtype=complex)
-    keep = np.argsort(-np.abs(c), kind="stable")[:4]
+    z_ref = np.zeros(len(bins), dtype=complex)
+    keep = np.argsort(-np.abs(c), kind="stable")[:3]
     z_ref[keep] = c[keep]
     v = np.real(a_mat.conj().T @ z_ref)
     x_ref = v.copy()
@@ -252,21 +252,39 @@ def test_sparsity_schedule_monotone():
 # ---------------------------------------------------------------- run_solver
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-def test_run_solver_improves_sdr_on_sparse_signal(variant):
+PINNED_PHASES = (0.2, 1.0, 2.1)
+# the pinned phase set and 29 drawn ones: the SDR gain on one signal is
+# chaotic in its phases, so a quality bar over a family is the stable one
+PHASE_SETS = [PINNED_PHASES] + [
+    tuple(p) for p in np.random.default_rng(0).uniform(0, 2 * np.pi, (29, 3))
+]
+
+
+def _sdr_gain_on_sparse_signal(variant, phases):
     n = 256
     t = np.arange(n)
     x = (
-        np.sin(2 * np.pi * 4 * t / n + 0.2)
-        + 0.6 * np.sin(2 * np.pi * 11 * t / n + 1.0)
-        + 0.35 * np.sin(2 * np.pi * 23 * t / n + 2.1)
+        np.sin(2 * np.pi * 4 * t / n + phases[0])
+        + 0.6 * np.sin(2 * np.pi * 11 * t / n + phases[1])
+        + 0.35 * np.sin(2 * np.pi * 23 * t / n + phases[2])
     )
     theta = 0.3 * np.max(np.abs(x))
     y = hard_clip(x, theta)
     model = detect_masks(y, theta, delta_detect=0.0)
     op = make_frame(n, 2)
     result = run_solver(model, op, SolverParams(s=1, r=1, epsilon=0.1, variant=variant))
-    assert sdr(x, result.x_restored) >= sdr(x, y) + 10.0
+    return sdr(x, result.x_restored) - sdr(x, y)
+
+
+@pytest.mark.parametrize("variant", [Variant.ASPADE, Variant.SSPADE_DR])
+def test_run_solver_improves_sdr_on_sparse_signal(variant):
+    assert _sdr_gain_on_sparse_signal(variant, PINNED_PHASES) >= 10.0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_run_solver_median_sdr_gain_over_phase_sets(variant):
+    gains = [_sdr_gain_on_sparse_signal(variant, ph) for ph in PHASE_SETS]
+    assert np.median(gains) >= 12.0
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -325,8 +343,9 @@ def test_aspade_projected_synthesis_solves_analysis_projection():
     _, model = sparse_clip_instance(n=16)
     op = make_frame(16, 2)
     rng = np.random.default_rng(6)
+    q = op.coeff_len
     for _ in range(20):
-        s = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        s = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         x_star = project_gamma(op.synthesize(s), model)
         obj = np.linalg.norm(op.analyze(x_star) - s)
         for _ in range(100):

@@ -11,6 +11,7 @@ from spadeclip.verification import (
     check_scaled_form,
     check_unitary_equivalence,
     dense_analysis_matrix,
+    dense_frame,
     dense_synthesis_matrix,
     make_test_model,
     run_all_checks,
@@ -27,10 +28,26 @@ def test_oracle_config_validation():
 def test_dense_matrices_form_a_tight_frame():
     op = make_frame(6, 2)
     a = dense_analysis_matrix(op)
-    assert a.shape == (12, 6)
-    assert np.max(np.abs(a.conj().T @ a - np.eye(6))) < 1e-12
+    assert a.shape == (7, 6)  # bins 0..6 of a length-12 DFT
+    # Parseval under the real inner product: Re(D A) = I
+    assert np.max(np.abs(np.real(a.conj().T @ a) - np.eye(6))) < 1e-12
     d = dense_synthesis_matrix(op)
     np.testing.assert_array_equal(d, a.conj().T)
+
+
+@pytest.mark.parametrize("n,redundancy", [(8, 2), (7, 1), (6, 1.5)])
+def test_dense_frame_matches_fft_operator(n, redundancy):
+    op = make_frame(n, redundancy)
+    dense = dense_frame(op)
+    assert (dense.signal_len, dense.dft_len, dense.coeff_len) == (
+        op.signal_len, op.dft_len, op.coeff_len
+    )
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((3, n))
+    c = rng.standard_normal((3, op.coeff_len)) + 1j * rng.standard_normal((3, op.coeff_len))
+    np.testing.assert_allclose(dense.analyze(x), op.analyze(x), atol=1e-13)
+    np.testing.assert_allclose(dense.synthesize(c), op.synthesize(c), atol=1e-13)
+    np.testing.assert_allclose(dense.analyze(x[0]), op.analyze(x[0]), atol=1e-13)
 
 
 def test_brute_force_k_zero():
@@ -44,16 +61,18 @@ def test_brute_force_k_zero():
 
 
 def test_brute_force_unitary_matches_hard_threshold():
+    # on a unitary half frame, keeping the k largest bins is the optimal
+    # k-pair approximation; synthesis takes the real part
     rng = np.random.default_rng(0)
-    op = make_frame(8, 1)
-    d = dense_synthesis_matrix(op)
-    for _ in range(5):
-        t = rng.standard_normal(8)
-        c = d.conj().T @ t
-        for k in (1, 2, 3):
-            _, _, obj = brute_force_sparse_ls(d, t, k)
-            obj_h = np.linalg.norm(d @ hard_threshold(c, k) - t) ** 2
-            assert obj == pytest.approx(obj_h, abs=1e-10)
+    for n in (7, 8):
+        d = dense_synthesis_matrix(make_frame(n, 1))
+        for _ in range(5):
+            t = rng.standard_normal(n)
+            c = d.conj().T @ t
+            for k in (1, 2, 3):
+                _, _, obj = brute_force_sparse_ls(d, t, k)
+                obj_h = np.linalg.norm(np.real(d @ hard_threshold(c, k)) - t) ** 2
+                assert obj == pytest.approx(obj_h, abs=1e-10)
 
 
 def test_brute_force_redundant_bounds_thresholding_approximation():
@@ -65,17 +84,17 @@ def test_brute_force_redundant_bounds_thresholding_approximation():
         c = d.conj().T @ t
         approx = hard_threshold(c, 2)
         _, _, obj = brute_force_sparse_ls(d, t, 2)
-        time_err = np.linalg.norm(d @ approx - t)
+        time_err = np.linalg.norm(np.real(d @ approx) - t)
         coef_err = np.linalg.norm(approx - c)
         assert obj <= time_err**2 + 1e-12
         assert time_err <= coef_err + 1e-12
 
 
 def test_brute_force_size_limits():
-    op = make_frame(8, 2)
+    op = make_frame(8, 4)
     d = dense_synthesis_matrix(op)
     with pytest.raises(ValueError):
-        brute_force_sparse_ls(d, np.zeros(8), 2)  # p = 16 > 14
+        brute_force_sparse_ls(d, np.zeros(8), 2)  # p = 17 > 14
     with pytest.raises(ValueError):
         brute_force_sparse_ls(d[:, :8], np.zeros(8), 4)  # k > 3
 
@@ -114,6 +133,14 @@ def test_projection_transposition_degenerate_range_component():
 
 def test_unitary_equivalence_default_instance():
     dev = check_unitary_equivalence(make_test_model(), SolverParams(s=2, r=1), 200)
+    assert dev <= 1e-9
+
+
+@pytest.mark.parametrize("n,s", [(63, 1), (64, 1), (63, 2)])
+def test_unitary_equivalence_any_sparsity_step(n, s):
+    # k counts conjugate pairs, so an odd k splits none: s = 1 works on an
+    # odd and an even length alike (n = 64, s = 2 is the default instance)
+    dev = check_unitary_equivalence(make_test_model(n=n), SolverParams(s=s, r=1), 200)
     assert dev <= 1e-9
 
 
