@@ -68,39 +68,51 @@ def cmd_clip(args) -> int:
     clipped = hard_clip(x, args.theta)
     write_wav(args.output, rate, clipped)
     frac = np.mean(np.abs(x) >= args.theta)
-    print(f"clipped {frac:.4f} of {len(x)} samples at theta={args.theta}")
+    print(f"clipped {frac:.4f} of {x.size} samples at theta={args.theta}")
     return EXIT_OK
 
 
 def cmd_declip(args) -> int:
     rate, y = read_wav(args.input)
-    # detection already admits samples within delta of theta as clipped
+    channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
+    # the peak over all channels; detection already admits samples within
+    # delta of theta as clipped
     theta = float(np.max(np.abs(y))) if args.theta == "auto" else float(args.theta)
     params = SolverParams(
         s=args.s, r=args.r, epsilon=args.epsilon, variant=VARIANTS[args.variant]
     )
-    restored, report = declip_signal(
-        y,
-        theta,
-        params,
-        frame_len=args.frame_len,
-        hop=args.hop,
-        redundancy=args.redundancy,
-        delta_detect=args.delta_detect,
-    )
-    write_wav(args.output, rate, restored)
-    print(f"clipped samples: {report.num_clipped} of {len(y)}")
-    print(report.as_table())
+    restored, reports = [], []
+    for channel in channels:
+        out, report = declip_signal(
+            channel,
+            theta,
+            params,
+            frame_len=args.frame_len,
+            hop=args.hop,
+            redundancy=args.redundancy,
+            delta_detect=args.delta_detect,
+        )
+        restored.append(out)
+        reports.append(report)
+    write_wav(args.output, rate, np.stack(restored, axis=-1).reshape(y.shape))
+    for c, report in enumerate(reports):
+        prefix = f"channel {c}: " if len(channels) > 1 else ""
+        print(f"{prefix}clipped samples: {report.num_clipped} of {len(y)}")
+        for line in report.as_table().splitlines():
+            print(prefix + line)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
-            writer.writerow(_csv_row(args.variant, _fmt(theta), args.redundancy, report))
+            for report in reports:
+                writer.writerow(_csv_row(args.variant, _fmt(theta), args.redundancy, report))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     _, x = read_wav(args.input)
+    if x.ndim > 1:
+        raise ValueError(f"bench needs a mono reference; {args.input} has {x.shape[1]} channels")
     peak = float(np.max(np.abs(x)))
     variants = [VARIANTS[v] for v in args.variants.split(",")]
     thetas = [float(t) for t in args.thetas.split(",")]

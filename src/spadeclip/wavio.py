@@ -1,35 +1,46 @@
-"""Minimal WAV ingestion and emission: PCM16 and float32, mono.
+"""WAV ingestion and emission.
 
-Stereo input is downmixed to mono with a warning. All output is written
-as 32-bit float at the input sample rate.
+`read_wav` accepts PCM 8-, 16-, 24- and 32-bit and float32 / float64
+files with any number of channels. It returns float64 samples, shape (n,)
+for mono and (n, channels) otherwise, and rejects a file holding a NaN or
+an infinity. `write_wav` writes 32-bit float with the array's channel count.
 """
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
-from scipy.io import wavfile
 
 __all__ = ["read_wav", "write_wav"]
 
 
+def _to_float(data: np.ndarray) -> np.ndarray:
+    """Scale PCM to [-1, 1); float samples are kept as they are."""
+    if data.dtype == np.uint8:
+        return (data.astype(np.float64) - 128.0) / 128.0
+    if data.dtype == np.int16:
+        return data.astype(np.float64) / 32768.0
+    if data.dtype == np.int32:  # scipy left-justifies 24-bit PCM in int32
+        return data.astype(np.float64) / 2.0**31
+    if data.dtype in (np.float32, np.float64):
+        return data.astype(np.float64)
+    raise ValueError(f"unsupported WAV sample type {data.dtype}")
+
+
 def read_wav(path: str) -> tuple[int, np.ndarray]:
-    """Read a WAV file as (sample_rate, float64 mono samples in [-1, 1])."""
+    """Read a WAV file as (sample_rate, float64 samples), one column per channel."""
+    # imported here, not at module top: importing scipy.io costs ~0.2 s and ~15 MB
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
-    if np.issubdtype(data.dtype, np.integer):
-        info = np.iinfo(data.dtype)
-        if info.bits != 16:
-            raise ValueError(f"unsupported PCM width {info.bits} bits (want 16)")
-        data = data.astype(np.float64) / 32768.0
-    else:
-        data = data.astype(np.float64)
-    if data.ndim == 2:
-        print(f"warning: downmixing {data.shape[1]} channels to mono", file=sys.stderr)
-        data = data.mean(axis=1)
-    return int(rate), data
+    samples = _to_float(data)
+    bad = np.count_nonzero(~np.isfinite(samples))
+    if bad:
+        raise ValueError(f"{path}: {bad} non-finite samples (NaN or inf)")
+    return int(rate), samples
 
 
 def write_wav(path: str, rate: int, samples: np.ndarray) -> None:
-    """Write mono samples as a 32-bit float WAV file."""
+    """Write (n,) or (n, channels) samples as a 32-bit float WAV file."""
+    from scipy.io import wavfile  # deferred for the same reason as in read_wav
+
     wavfile.write(path, rate, np.asarray(samples, dtype=np.float32))

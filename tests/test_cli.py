@@ -1,11 +1,18 @@
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
+import wave
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import spadeclip
 from spadeclip.cli import CSV_FIELDS, main
 from spadeclip.feasible import detect_masks, project_gamma
 from spadeclip.frames import make_frame
@@ -170,6 +177,30 @@ def test_declip_rejects_nan_wav(tmp_path, capsys, theta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["clip", "bench"])
+def test_clip_and_bench_reject_nan_wav(tmp_path, capsys, command):
+    y = np.clip(sparse_signal(512), -0.4, 0.4).astype(np.float32)
+    y[100] = np.nan
+    src = tmp_path / "nan.wav"
+    wavfile.write(src, RATE, y)
+    out = tmp_path / "out"
+    args = ["--theta", 0.4] if command == "clip" else ["--frame-len", 256, "--hop", 64]
+    code, _ = run_cli(command, "--input", src, "--output", out, *args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_wav_rejects_non_finite(tmp_path, bad):
+    y = np.zeros((64, 2), dtype=np.float32)
+    y[10, 1] = bad
+    src = tmp_path / "bad.wav"
+    wavfile.write(src, RATE, y)
+    with pytest.raises(ValueError, match="1 non-finite"):
+        read_wav(str(src))
+
+
 @pytest.mark.parametrize("command", ["clip", "declip"])
 def test_cli_rejects_nan_theta(clean_wav, tmp_path, capsys, command):
     out = tmp_path / "out.wav"
@@ -241,10 +272,129 @@ def test_pcm16_and_stereo_ingestion(tmp_path):
     _, loaded = read_wav(str(mono))
     np.testing.assert_allclose(loaded, pcm / 32768.0, atol=0)
 
+    # channels are kept, one column each, not downmixed
+    both = np.stack([pcm, -pcm], axis=1)
     stereo = tmp_path / "stereo.wav"
-    wavfile.write(stereo, RATE, np.stack([pcm, pcm], axis=1))
-    _, downmixed = read_wav(str(stereo))
-    np.testing.assert_allclose(downmixed, pcm / 32768.0, atol=1e-12)
+    wavfile.write(stereo, RATE, both)
+    _, loaded = read_wav(str(stereo))
+    assert loaded.shape == (512, 2)
+    np.testing.assert_array_equal(loaded, both / 32768.0)
+
+
+# left and right channels on the grid every PCM width represents exactly
+GRID = np.array([[-1.0, 0.25], [-0.5, 0.0], [0.0, -0.5], [0.25, -1.0]])
+
+
+def write_pcm(path, bits: int, samples: np.ndarray) -> None:
+    """Write (n, channels) samples in [-1, 1) as integer PCM with the stdlib."""
+    ints = np.round(samples * 2 ** (bits - 1)).astype(np.int64)
+    if bits == 8:
+        raw = (ints + 128).astype(np.uint8).tobytes()  # 8-bit PCM is unsigned
+    else:
+        raw = b"".join(int(v).to_bytes(bits // 8, "little", signed=True) for v in ints.ravel())
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(samples.shape[1])
+        fh.setsampwidth(bits // 8)
+        fh.setframerate(RATE)
+        fh.writeframes(raw)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
+def test_pcm_widths_decode_to_the_grid(tmp_path, bits):
+    path = tmp_path / f"pcm{bits}.wav"
+    write_pcm(path, bits, GRID)
+    rate, loaded = read_wav(str(path))
+    assert rate == RATE
+    assert loaded.dtype == np.float64
+    np.testing.assert_array_equal(loaded, GRID)
+
+
+def test_unsupported_sample_type_is_named(tmp_path, capsys):
+    src = tmp_path / "pcm64.wav"
+    wavfile.write(src, RATE, np.zeros(64, dtype=np.int64))
+    with pytest.raises(ValueError, match="int64"):
+        read_wav(str(src))
+    code, _ = run_cli("clip", "--input", src, "--output", tmp_path / "o.wav", "--theta", 0.5)
+    assert code == 2
+    assert "int64" in capsys.readouterr().err
+
+
+STEREO_RATE = 44100
+
+
+def clipped_stereo(n=8000, theta=0.5):
+    # the left channel clips at theta, the right one stays far below it
+    t = np.arange(n) / STEREO_RATE
+    left = np.clip(0.9 * np.sin(2 * np.pi * 440 * t), -theta, theta)
+    right = 0.2 * np.sin(2 * np.pi * 300 * t)
+    return np.stack([left, right], axis=1).astype(np.float32)
+
+
+@pytest.mark.parametrize("theta", ["0.5", "auto"])
+def test_declip_keeps_channels(tmp_path, theta):
+    y = clipped_stereo()
+    src = tmp_path / "stereo.wav"
+    wavfile.write(src, STEREO_RATE, y)
+    out = tmp_path / "out.wav"
+    report = tmp_path / "report.csv"
+    code, text = run_cli(
+        "declip", "--input", src, "--output", out, "--theta", theta,
+        "--variant", "sspade", "--csv", report,
+    )
+    assert code == 0
+    rate, restored = read_wav(str(out))
+    assert rate == STEREO_RATE and restored.shape == y.shape
+    left, right = y[:, 0], y[:, 1]
+    clipped = ~detect_masks(left.astype(float), 0.5).mask_r
+    assert np.count_nonzero(clipped) == 5001
+    np.testing.assert_array_equal(restored[~clipped, 0], left[~clipped])
+    assert np.all(np.abs(restored[clipped, 0]) >= 0.5)
+    np.testing.assert_array_equal(restored[:, 1], right)
+    assert "channel 0: clipped samples: 5001 of 8000" in text
+    assert "channel 1: clipped samples: 0 of 8000" in text
+    with open(report) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and list(rows[0]) == CSV_FIELDS
+    assert float(rows[0]["mean_iters"]) > 0 and float(rows[1]["mean_iters"]) == 0
+
+
+def test_clip_clips_every_channel(tmp_path):
+    x = np.stack([sparse_signal(512), -0.5 * sparse_signal(512)], axis=1).astype(np.float32)
+    src = tmp_path / "stereo.wav"
+    wavfile.write(src, RATE, x)
+    out = tmp_path / "clipped.wav"
+    code, _ = run_cli("clip", "--input", src, "--output", out, "--theta", 0.3)
+    assert code == 0
+    _, y = read_wav(str(out))
+    np.testing.assert_array_equal(y, np.clip(x, -0.3, 0.3).astype(np.float32))
+
+
+def test_bench_rejects_multichannel_reference(tmp_path, capsys):
+    src = tmp_path / "stereo.wav"
+    wavfile.write(src, RATE, clipped_stereo(512))
+    code, _ = run_cli("bench", "--input", src, "--output", tmp_path / "b.csv")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2 channels" in err
+
+
+def test_library_and_verify_load_no_scipy():
+    # only reading or writing a WAV file imports scipy
+    script = (
+        "import json, sys, spadeclip, spadeclip.cli\n"
+        "code = spadeclip.cli.main(['verify', '--trials', '2'])\n"
+        "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps([code, mods]))\n"
+    )
+    src = str(Path(spadeclip.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, mods = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert mods == []
 
 
 def test_pipeline_reliable_passthrough_bitexact():
