@@ -6,20 +6,12 @@ sparsity-enforcing hard thresholding with projections onto the set of
 clipping-consistent signals.
 """
 
-from .feasible import ClipModel, detect_masks, hard_clip, project_gamma, project_gamma_coef
+from .feasible import ClipModel, detect_masks, hard_clip, project_gamma
 from .frames import FrameOperator, make_frame
-from .metrics import DeclipReport, sdr, sdr_masked
+from .metrics import DeclipReport, FrameStats, sdr, sdr_masked
 from .pipeline import declip_signal
-from .segmentation import (
-    SegmentationPlan,
-    overlap_add,
-    plan_segmentation,
-    restrict_frames,
-    restrict_model,
-    split,
-)
+from .segmentation import SegmentationPlan, overlap_add, plan_segmentation, restrict_frames
 from .solvers import (
-    SolveResult,
     SolverParams,
     SolverState,
     Variant,
@@ -32,8 +24,8 @@ __all__ = [
     "ClipModel",
     "DeclipReport",
     "FrameOperator",
+    "FrameStats",
     "SegmentationPlan",
-    "SolveResult",
     "SolverParams",
     "SolverState",
     "Variant",
@@ -45,14 +37,11 @@ __all__ = [
     "overlap_add",
     "plan_segmentation",
     "project_gamma",
-    "project_gamma_coef",
     "restrict_frames",
-    "restrict_model",
     "run_solver",
     "sdr",
     "sdr_masked",
     "solve_batch",
-    "split",
 ]
 
 __version__ = "0.1.0"

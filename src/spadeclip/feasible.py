@@ -4,7 +4,8 @@ A clipped observation y with threshold theta admits the signals that equal
 y on reliable samples, are >= theta on clipped-high samples and <= -theta
 on clipped-low samples. That set is a box: every sample has a lower and an
 upper bound (lo = hi = y, [theta, +inf) or (-inf, -theta]), and the
-Euclidean projection onto it is an elementwise clamp.
+Euclidean projection onto it is an elementwise clamp. The bounds give the
+set in full, so the clip model stores them and not theta.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FrameOperator
-
 __all__ = [
     "ClipModel",
     "hard_clip",
     "detect_masks",
     "project_gamma",
-    "project_gamma_coef",
 ]
 
 DEFAULT_DELTA_DETECT = 1e-6
@@ -32,19 +30,17 @@ class ClipModel:
 
     Each sample x[n] must satisfy lo[n] <= x[n] <= hi[n]: a reliable sample
     has lo = hi = y, a clipped-high one [theta, +inf), a clipped-low one
-    (-inf, -theta]. The masks `mask_r`, `mask_h`, `mask_l` (reliable /
-    clipped-high / clipped-low) are read off the bounds. A batch of frames
-    stacks `y` and the bounds along a leading axis.
+    (-inf, -theta]. theta lives only in the bounds; `detect_masks` checks
+    it. The masks `mask_r`, `mask_h`, `mask_l` (reliable / clipped-high /
+    clipped-low) are read off the bounds. A batch of frames stacks `y` and
+    the bounds along a leading axis.
     """
 
     y: np.ndarray
-    theta: float
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        if not self.theta > 0:  # also rejects NaN
-            raise ValueError(f"theta must be positive, got {self.theta}")
         shape = np.shape(self.y)
         if np.shape(self.lo) != shape or np.shape(self.hi) != shape:
             raise ValueError(f"lo and hi must have the shape of y, {shape}")
@@ -72,7 +68,7 @@ class ClipModel:
 
     def select(self, rows) -> ClipModel:
         """The model of the chosen frames of a batch (boolean or index rows)."""
-        return ClipModel(self.y[rows], self.theta, self.lo[rows], self.hi[rows])
+        return ClipModel(self.y[rows], self.lo[rows], self.hi[rows])
 
 
 def hard_clip(x: np.ndarray, theta: float) -> np.ndarray:
@@ -90,7 +86,7 @@ def detect_masks(
     Samples within `delta_detect` of +-theta count as clipped; the rest
     are reliable. Raises ValueError if y holds a NaN or an infinity.
     """
-    if not theta > 0:
+    if not theta > 0:  # also rejects NaN
         raise ValueError(f"theta must be positive, got {theta}")
     if delta_detect < 0:
         raise ValueError(f"delta_detect must be nonnegative, got {delta_detect}")
@@ -102,7 +98,7 @@ def detect_masks(
     low = (y <= -theta + delta_detect) & ~high
     lo = np.where(high, theta, np.where(low, -np.inf, y))
     hi = np.where(high, np.inf, np.where(low, -theta, y))
-    return ClipModel(y=y, theta=theta, lo=lo, hi=hi)
+    return ClipModel(y=y, lo=lo, hi=hi)
 
 
 def project_gamma(v: np.ndarray, model: ClipModel) -> np.ndarray:
@@ -120,18 +116,3 @@ def project_gamma(v: np.ndarray, model: ClipModel) -> np.ndarray:
     # minimum return the second operand, so reliable samples keep y's bits
     return np.minimum(np.maximum(v, model.lo), model.hi)
 
-
-def project_gamma_coef(
-    c: np.ndarray, model: ClipModel, op: FrameOperator
-) -> np.ndarray:
-    """Project coefficients c onto the set whose synthesis is clipping-consistent.
-
-    One-step closed form: c + analyze(project_gamma(synthesize(c)) - synthesize(c)).
-    Exact because synthesis composed with analysis is the identity on signals.
-    """
-    c = np.asarray(c, dtype=complex)
-    expected = model.y.shape[:-1] + (op.coeff_len,)
-    if c.shape != expected:
-        raise ValueError(f"expected coefficients of shape {expected}, got {c.shape}")
-    v = op.synthesize(c)
-    return c + op.analyze(project_gamma(v, model) - v)

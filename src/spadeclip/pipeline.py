@@ -34,7 +34,7 @@ def declip_signal(
     Returns the restored signal and a report. SDR fields are computed
     against `reference` when given (clip-simulation experiments),
     otherwise against the observation itself, which makes the input-SDR
-    field infinite.
+    field infinite. An empty `y` raises a ValueError.
 
     The frames holding a clipped sample are solved together as one batch
     (`solve_batch`); the others keep the observation and report 0
@@ -44,6 +44,8 @@ def declip_signal(
     once more.
     """
     y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise ValueError("signal is empty")
     t0 = time.perf_counter()
     model = detect_masks(y, theta, delta_detect)
     plan = plan_segmentation(len(y), frame_len, hop)
@@ -54,10 +56,9 @@ def declip_signal(
     per_frame = [UNSOLVED] * plan.num_frames
     clipped_frames = np.flatnonzero(~frames.mask_r.all(axis=1))
     if clipped_frames.size:
-        results = solve_batch(frames.select(clipped_frames), op, params)
-        for m, r in zip(clipped_frames, results):
-            restored[m] = r.x_restored
-            per_frame[m] = FrameStats(r.iterations, r.final_residual, r.final_k, r.converged)
+        restored[clipped_frames], stats = solve_batch(frames.select(clipped_frames), op, params)
+        for m, frame_stats in zip(clipped_frames, stats):
+            per_frame[m] = frame_stats
 
     restored = project_gamma(overlap_add(restored, plan, len(y)), model)
     runtime = time.perf_counter() - t0

@@ -22,7 +22,8 @@ never appears here.
 Every step works on one frame or on a batch of frames stacked along a
 leading axis. The sparsity schedule does not depend on the frame, so all
 frames of a batch share k; `solve_batch` runs one loop over the batch and
-`run_solver` is its single-frame case.
+`run_solver` is its single-frame case. Both return the restored samples
+and a `FrameStats` per frame.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ import numpy as np
 
 from .feasible import ClipModel, project_gamma
 from .frames import FrameOperator
+from .metrics import FrameStats
 
 __all__ = [
     "Variant",
     "SolverParams",
     "SolverState",
-    "SolveResult",
     "hard_threshold",
     "init_state",
     "aspade_step",
@@ -113,15 +114,6 @@ class SolverState:
             z_hat=None if self.z_hat is None else self.z_hat[rows],
             ax=None if self.ax is None else self.ax[rows],
         )
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    x_restored: np.ndarray
-    iterations: int
-    final_residual: float
-    final_k: int
-    converged: bool
 
 
 def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
@@ -251,15 +243,21 @@ def step(
 
 def solve_batch(
     model: ClipModel, op: FrameOperator, params: SolverParams
-) -> list[SolveResult]:
+) -> tuple[np.ndarray, list[FrameStats]]:
     """Solve every frame of a batched model (arrays of shape (frames, N)).
 
-    Each frame iterates until its residual meets epsilon (converged) or k
+    Returns the restored frames, one per row, and each frame's stats. Each
+    frame iterates until its residual meets epsilon (converged) or k
     exceeds max_k (not converged), and then leaves the batch, so the other
     frames go on without it. Non-convergence is not an error: each frame
     returns the lowest-residual iterate it saw, which is always
     clipping-consistent. A frame's result does not depend on the other
     frames in the batch.
+
+    An iterate replaces the frame's best only if its residual is strictly
+    lower, so on a tie the earlier iterate stays. Two frame operators that
+    agree only to rounding can therefore report a different `final_k` (and
+    a near-identical output) for a frame that stopped at max_k.
     """
     max_k = params.max_k if params.max_k is not None else op.coeff_len
     step_fn = _STEPS[params.variant]
@@ -288,20 +286,16 @@ def solve_batch(
             rows = rows[stay]
             state = state.select(stay)
             model = model.select(stay)
-    return [
-        SolveResult(
-            x_restored=best_x[m],
-            iterations=int(iterations[m]),
-            final_residual=float(best_residual[m]),
-            final_k=int(best_k[m]),
-            converged=bool(converged[m]),
-        )
-        for m in range(num)
+    stats = [
+        FrameStats(int(i), float(res), int(k), bool(c))
+        for i, res, k, c in zip(iterations, best_residual, best_k, converged)
     ]
+    return best_x, stats
 
 
 def run_solver(
     model: ClipModel, op: FrameOperator, params: SolverParams
-) -> SolveResult:
+) -> tuple[np.ndarray, FrameStats]:
     """Solve one frame: `solve_batch` on a batch of one."""
-    return solve_batch(model.select(np.newaxis), op, params)[0]
+    x, (stats,) = solve_batch(model.select(np.newaxis), op, params)
+    return x[0], stats

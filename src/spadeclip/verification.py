@@ -6,6 +6,11 @@ exhaustive support enumeration, and projection optimality is tested
 against random feasible candidates. Checks are deterministic given the
 seed and are driven both by the test suite and the `verify` CLI
 subcommand.
+
+The module also holds plain references that the package itself does not
+call: `restrict_model` slices one frame's clip model, as `restrict_frames`
+gathers every frame at once, and `project_gamma_coef` is the coefficient
+projection that S-SPADE's step writes out.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .feasible import ClipModel, detect_masks, hard_clip, project_gamma
 from .frames import FrameOperator, make_frame
+from .segmentation import SegmentationPlan
 from .solvers import (
     SolverParams,
     Variant,
@@ -32,6 +38,8 @@ __all__ = [
     "dense_synthesis_matrix",
     "DenseFrameOperator",
     "dense_frame",
+    "restrict_model",
+    "project_gamma_coef",
     "brute_force_sparse_ls",
     "check_scaled_form",
     "check_projection_transposition",
@@ -112,6 +120,41 @@ def dense_frame(op: FrameOperator) -> DenseFrameOperator:
     """The dense-matrix realization of op."""
     a = dense_analysis_matrix(op)
     return DenseFrameOperator(op.signal_len, op.dft_len, a.shape[0], a)
+
+
+def restrict_model(
+    model: ClipModel, frame_index: int, plan: SegmentationPlan
+) -> ClipModel:
+    """Clip model for one frame: y and the global bounds restricted to its range.
+
+    Tail-padding samples beyond the signal are reliable with y = 0.
+    """
+    if not 0 <= frame_index < plan.num_frames:
+        raise ValueError(f"frame index {frame_index} out of range")
+    n = plan.frame_len
+    start = frame_index * plan.hop
+    avail = max(0, min(len(model), start + n) - start)
+    y, lo, hi = np.zeros(n), np.zeros(n), np.zeros(n)
+    y[:avail] = model.y[start : start + avail]
+    lo[:avail] = model.lo[start : start + avail]
+    hi[:avail] = model.hi[start : start + avail]
+    return ClipModel(y=y, lo=lo, hi=hi)
+
+
+def project_gamma_coef(
+    c: np.ndarray, model: ClipModel, op: FrameOperator
+) -> np.ndarray:
+    """Project coefficients c onto the set whose synthesis is clipping-consistent.
+
+    One-step closed form: c + analyze(project_gamma(synthesize(c)) - synthesize(c)).
+    Exact because synthesis composed with analysis is the identity on signals.
+    """
+    c = np.asarray(c, dtype=complex)
+    expected = model.y.shape[:-1] + (op.coeff_len,)
+    if c.shape != expected:
+        raise ValueError(f"expected coefficients of shape {expected}, got {c.shape}")
+    v = op.synthesize(c)
+    return c + op.analyze(project_gamma(v, model) - v)
 
 
 def brute_force_sparse_ls(

@@ -2,8 +2,9 @@
 
 `read_wav` accepts PCM 8-, 16-, 24- and 32-bit and float32 / float64
 files with any number of channels. It returns float64 samples, shape (n,)
-for mono and (n, channels) otherwise, and rejects a file holding a NaN or
-an infinity. `write_wav` writes 32-bit float with the array's channel count.
+for mono and (n, channels) otherwise, and rejects a file with no samples
+or one holding a NaN or an infinity. `write_wav` writes 32-bit float with
+the array's channel count.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ def read_wav(path: str) -> tuple[int, np.ndarray]:
     from scipy.io import wavfile
 
     rate, data = wavfile.read(path)
+    if len(data) == 0:
+        raise ValueError(f"{path}: no samples")
     samples = _to_float(data)
     bad = np.count_nonzero(~np.isfinite(samples))
     if bad:

@@ -170,14 +170,14 @@ def test_criterion_9_termination(variant):
     y = hard_clip(rng.standard_normal(64), 0.4)  # non-sparse: forces the cap
     model = detect_masks(y, 0.4, 0.0)
     op = make_frame(64, 2)
-    capped = run_solver(
+    _, capped = run_solver(
         model,
         op,
         SolverParams(s=2, r=1, epsilon=1e-14, max_k=op.coeff_len, variant=variant),
     )
     assert capped.converged in (True, False)  # halted either way
 
-    one_shot = run_solver(
+    _, one_shot = run_solver(
         model, op, SolverParams(s=op.coeff_len, epsilon=0.1, variant=variant)
     )
     assert one_shot.converged

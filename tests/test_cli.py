@@ -17,8 +17,9 @@ from spadeclip.cli import CSV_FIELDS, main
 from spadeclip.feasible import detect_masks, project_gamma
 from spadeclip.frames import make_frame
 from spadeclip.pipeline import declip_signal
-from spadeclip.segmentation import overlap_add, plan_segmentation, restrict_model
+from spadeclip.segmentation import overlap_add, plan_segmentation
 from spadeclip.solvers import SolverParams, Variant, run_solver
+from spadeclip.verification import restrict_model
 from spadeclip.wavio import read_wav, write_wav
 
 RATE = 8000
@@ -198,6 +199,36 @@ def test_read_wav_rejects_non_finite(tmp_path, bad):
     src = tmp_path / "bad.wav"
     wavfile.write(src, RATE, y)
     with pytest.raises(ValueError, match="1 non-finite"):
+        read_wav(str(src))
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [
+        ("clip", ["--theta", 0.4]),
+        ("declip", ["--theta", "auto"]),
+        ("declip", ["--theta", 0.4]),
+        ("bench", []),
+    ],
+)
+def test_cli_rejects_empty_wav(tmp_path, capsys, command, args):
+    src = tmp_path / "empty.wav"
+    with wave.open(str(src), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(RATE)
+        fh.writeframes(b"")
+    out = tmp_path / "out"
+    code, _ = run_cli(command, "--input", src, "--output", out, *args)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {src}: no samples\n"
+    assert not out.exists()
+
+
+def test_read_wav_rejects_empty_float_file(tmp_path):
+    src = tmp_path / "empty.wav"
+    wavfile.write(src, RATE, np.zeros((0, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="no samples"):
         read_wav(str(src))
 
 
@@ -420,6 +451,11 @@ def test_declip_signal_rejects_non_finite(bad):
         declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64)
 
 
+def test_declip_signal_rejects_empty_signal():
+    with pytest.raises(ValueError, match="empty"):
+        declip_signal(np.zeros(0), 0.4, SolverParams())
+
+
 def test_declip_signal_rejects_nan_theta():
     y = np.clip(sparse_signal(512), -0.4, 0.4)
     with pytest.raises(ValueError, match="theta"):
@@ -442,11 +478,11 @@ def test_pipeline_batch_equals_frames_solved_alone():
             for m in range(plan.num_frames)
         ]
         expected = project_gamma(
-            overlap_add([r.x_restored for r in alone], plan, len(y)), model
+            overlap_add(np.array([x for x, _ in alone]), plan, len(y)), model
         )
         np.testing.assert_array_equal(batched, expected)
         assert len(report.per_frame) == plan.num_frames
-        for m, (got, ref) in enumerate(zip(report.per_frame, alone)):
+        for m, (got, (_, ref)) in enumerate(zip(report.per_frame, alone)):
             if restrict_model(model, m, plan).num_clipped:
                 assert (got.iterations, got.final_k, got.converged) == (
                     ref.iterations, ref.final_k, ref.converged

@@ -1,0 +1,62 @@
+"""End-to-end invariants of `declip_signal` over random inputs and settings.
+
+Lengths run from one sample, through less than one frame, to several
+frames off the hop grid; frames are short (16 to 64 samples) and `max_k`
+small, so every example solves in milliseconds.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spadeclip import SolverParams, Variant, declip_signal, detect_masks, hard_clip
+from spadeclip.segmentation import plan_segmentation
+
+
+@st.composite
+def declip_cases(draw):
+    frame_len = draw(st.sampled_from([16, 32, 64]))
+    hop = draw(st.integers(frame_len // 4, frame_len))
+    n = draw(
+        st.one_of(
+            st.just(1),
+            st.integers(2, frame_len - 1),  # below one frame
+            st.integers(frame_len, 4 * frame_len),  # on or off the hop grid
+        )
+    )
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    theta = draw(st.floats(0.05, 1.2)) * float(np.max(np.abs(x)))
+    params = SolverParams(
+        s=draw(st.integers(1, 3)),
+        r=draw(st.integers(1, 3)),
+        max_k=draw(st.integers(1, 8)),
+        variant=draw(st.sampled_from(list(Variant))),
+    )
+    redundancy = draw(st.sampled_from([1, 1.5, 2]))
+    return hard_clip(x, theta), theta, params, frame_len, hop, redundancy
+
+
+@settings(max_examples=200)
+@given(declip_cases())
+def test_declip_signal_invariants(case):
+    y, theta, params, frame_len, hop, redundancy = case
+    restored, report = declip_signal(
+        y, theta, params, frame_len=frame_len, hop=hop, redundancy=redundancy
+    )
+    model = detect_masks(y, theta)
+    assert restored.shape == y.shape
+    assert np.all(np.isfinite(restored))
+    np.testing.assert_array_equal(restored[model.mask_r], y[model.mask_r])
+    assert np.all(restored[model.mask_h] >= theta)
+    assert np.all(restored[model.mask_l] <= -theta)
+
+    num_frames = plan_segmentation(len(y), frame_len, hop).num_frames
+    assert len(report.per_frame) == num_frames
+    # k starts at s and grows by s every r iterations; a frame stops once k > max_k
+    bound = max(1, params.r * (params.max_k // params.s))
+    for m, stats in enumerate(report.per_frame):
+        clipped = not model.mask_r[m * hop : m * hop + frame_len].all()
+        if clipped:
+            assert 1 <= stats.iterations <= bound
+        else:
+            assert stats.iterations == 0 and stats.converged

@@ -4,15 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spadeclip.feasible import (
-    ClipModel,
-    detect_masks,
-    hard_clip,
-    project_gamma,
-    project_gamma_coef,
-)
+from spadeclip.feasible import ClipModel, detect_masks, hard_clip, project_gamma
 from spadeclip.frames import make_frame
 from spadeclip.segmentation import plan_segmentation, restrict_frames
+from spadeclip.verification import project_gamma_coef
 
 
 def simple_model():
@@ -60,11 +55,11 @@ def test_masks_partition():
 def test_clip_model_validation():
     y = np.zeros(2)
     with pytest.raises(ValueError):  # bounds of another shape than y
-        ClipModel(y, 1.0, lo=np.zeros(3), hi=np.zeros(3))
+        ClipModel(y, lo=np.zeros(3), hi=np.zeros(3))
     with pytest.raises(ValueError):  # an empty box
-        ClipModel(y, 1.0, lo=np.array([0.0, 1.0]), hi=np.array([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        ClipModel(y, 0.0, lo=y, hi=y)
+        ClipModel(y, lo=np.array([0.0, 1.0]), hi=np.array([0.0, 0.5]))
+    with pytest.raises(ValueError):  # theta is checked where the box is built
+        detect_masks(y, 0.0)
 
 
 # ---------------------------------------------------------------- box properties
@@ -215,8 +210,8 @@ def test_project_gamma_coef_feasibility():
         c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         v = op.synthesize(project_gamma_coef(c, m, op))
         assert np.max(np.abs(v[m.mask_r] - y[m.mask_r])) <= 1e-10
-        assert np.all(v[m.mask_h] >= m.theta - 1e-10)
-        assert np.all(v[m.mask_l] <= -m.theta + 1e-10)
+        assert np.all(v[m.mask_h] >= 0.5 - 1e-10)
+        assert np.all(v[m.mask_l] <= -0.5 + 1e-10)
 
 
 def test_project_gamma_coef_is_projection_sampling_oracle():

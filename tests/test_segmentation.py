@@ -1,31 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.segmentation import (
-    SegmentationPlan,
     overlap_add,
     plan_segmentation,
     restrict_frames,
-    restrict_model,
     shifted_hann,
-    split,
 )
+from spadeclip.verification import restrict_model
+
+
+def frame_rows(x, plan):
+    """The plan's frames of x, one per row, as `restrict_frames` gathers them."""
+    unclipped = detect_masks(x, 2 * np.max(np.abs(x)) + 1)
+    return restrict_frames(unclipped, plan).y
 
 
 def test_split_disjoint_frames():
     plan = plan_segmentation(8, frame_len=4, hop=4)
-    frames = split(np.arange(8.0), plan)
-    assert len(frames) == 2
-    np.testing.assert_array_equal(frames[0], [0, 1, 2, 3])
-    np.testing.assert_array_equal(frames[1], [4, 5, 6, 7])
+    np.testing.assert_array_equal(plan.sample_index, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    frames = frame_rows(np.arange(8.0), plan)
+    np.testing.assert_array_equal(frames, [[0, 1, 2, 3], [4, 5, 6, 7]])
 
 
 def test_split_half_overlap_with_tail_padding():
-    plan = plan_segmentation(8, frame_len=4, hop=2)
-    frames = split(np.arange(1.0, 9.0), plan)
-    assert len(frames) == 3
+    plan = plan_segmentation(9, frame_len=4, hop=2)
+    frames = frame_rows(np.arange(1.0, 10.0), plan)
+    assert frames.shape == (4, 4)
     np.testing.assert_array_equal(frames[2], [5, 6, 7, 8])
+    np.testing.assert_array_equal(frames[3], [7, 8, 9, 0])
 
 
 def test_plan_rejects_bad_hop():
@@ -38,8 +44,7 @@ def test_plan_rejects_bad_hop():
 def test_window_strictly_positive():
     for n in (16, 256, 1024):
         assert np.all(shifted_hann(n) > 0)
-    with pytest.raises(ValueError):
-        SegmentationPlan(frame_len=4, hop=2, window=np.array([0.0, 1, 1, 1]), num_frames=2)
+        np.testing.assert_array_equal(plan_segmentation(4 * n, n, n // 4).window, shifted_hann(n))
 
 
 @pytest.mark.parametrize("frame_len,hop", [(256, 128), (256, 64), (1024, 256)])
@@ -47,29 +52,50 @@ def test_round_trip_identity(frame_len, hop):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(3000)
     plan = plan_segmentation(len(x), frame_len, hop)
-    out = overlap_add(split(x, plan), plan, len(x))
+    out = overlap_add(frame_rows(x, plan), plan, len(x))
     assert np.max(np.abs(out - x)) <= 1e-12
-
-
-def test_single_frame_rectangular_window_is_identity():
-    plan = plan_segmentation(4, frame_len=4, hop=4, window=np.ones(4))
-    frame = np.array([1.0, -2.0, 3.0, 0.5])
-    np.testing.assert_array_equal(overlap_add([frame], plan, 4), frame)
 
 
 def test_constant_in_constant_out():
     x = np.full(500, 0.37)
     plan = plan_segmentation(len(x), 128, 32)
-    out = overlap_add(split(x, plan), plan, len(x))
+    out = overlap_add(frame_rows(x, plan), plan, len(x))
     np.testing.assert_allclose(out, x, atol=1e-13)
 
 
 def test_overlap_add_rejects_empty_and_bad_frames():
     plan = plan_segmentation(8, 4, 2)
     with pytest.raises(ValueError):
-        overlap_add([], plan, 8)
+        overlap_add(np.zeros((0, 4)), plan, 8)
     with pytest.raises(ValueError):
-        overlap_add([np.zeros(3)], plan, 8)
+        overlap_add(np.zeros((plan.num_frames, 3)), plan, 8)
+    with pytest.raises(ValueError):
+        overlap_add(np.zeros((plan.num_frames - 1, 4)), plan, 8)
+
+
+def _overlap_add_per_frame(frames, plan, original_len):
+    """Reference: accumulate the weighted frames one at a time, in frame order."""
+    window = shifted_hann(plan.frame_len)
+    num = np.zeros(plan.padded_len)
+    den = np.zeros(plan.padded_len)
+    for m, frame in enumerate(frames):
+        lo = m * plan.hop
+        num[lo : lo + plan.frame_len] += window * frame
+        den[lo : lo + plan.frame_len] += window
+    return num[:original_len] / den[:original_len]
+
+
+@given(st.data())
+def test_overlap_add_matches_per_frame_loop(data):
+    length = data.draw(st.integers(1, 300))
+    frame_len = data.draw(st.integers(1, 64))
+    hop = data.draw(st.integers(1, frame_len))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    plan = plan_segmentation(length, frame_len, hop)
+    frames = np.random.default_rng(seed).standard_normal((plan.num_frames, frame_len))
+    np.testing.assert_array_equal(
+        overlap_add(frames, plan, length), _overlap_add_per_frame(frames, plan, length)
+    )
 
 
 def test_restrict_model_all_reliable():

@@ -158,8 +158,8 @@ def test_aspade_first_step_matches_dense_matrix_reference():
     v = np.real(a_mat.conj().T @ z_ref)
     x_ref = v.copy()
     x_ref[model.mask_r] = model.y[model.mask_r]
-    x_ref[model.mask_h] = np.maximum(v[model.mask_h], model.theta)
-    x_ref[model.mask_l] = np.minimum(v[model.mask_l], -model.theta)
+    x_ref[model.mask_h] = np.maximum(v[model.mask_h], theta)
+    x_ref[model.mask_l] = np.minimum(v[model.mask_l], -theta)
     u_ref = a_mat @ x_ref - z_ref
 
     np.testing.assert_allclose(state.z_bar, z_ref, atol=1e-10)
@@ -173,8 +173,8 @@ def test_sspade_orig_all_reliable_unitary_returns_y():
     y /= 2 * np.max(np.abs(y))
     model = detect_masks(y, 1.0, 0.0)
     op = make_frame(32, 1)
-    result = run_solver(model, op, SolverParams(variant=Variant.SSPADE_ORIG, epsilon=1e-8))
-    np.testing.assert_allclose(result.x_restored, y, atol=1e-8)
+    x, _ = run_solver(model, op, SolverParams(variant=Variant.SSPADE_ORIG, epsilon=1e-8))
+    np.testing.assert_allclose(x, y, atol=1e-8)
 
 
 def test_sspade_orig_full_sparsity_converges_first_iteration():
@@ -272,8 +272,8 @@ def _sdr_gain_on_sparse_signal(variant, phases):
     y = hard_clip(x, theta)
     model = detect_masks(y, theta, delta_detect=0.0)
     op = make_frame(n, 2)
-    result = run_solver(model, op, SolverParams(s=1, r=1, epsilon=0.1, variant=variant))
-    return sdr(x, result.x_restored) - sdr(x, y)
+    restored, _ = run_solver(model, op, SolverParams(s=1, r=1, epsilon=0.1, variant=variant))
+    return sdr(x, restored) - sdr(x, y)
 
 
 @pytest.mark.parametrize("variant", [Variant.ASPADE, Variant.SSPADE_DR])
@@ -294,21 +294,21 @@ def test_run_solver_unclipped_returns_y(variant):
     y /= 2 * np.max(np.abs(y))
     model = detect_masks(y, 1.0, 0.0)
     op = make_frame(64, 2)
-    result = run_solver(model, op, SolverParams(variant=variant, epsilon=0.1))
-    assert result.converged
-    np.testing.assert_allclose(result.x_restored, y, atol=1e-8)
-    np.testing.assert_array_equal(result.x_restored[model.mask_r], y[model.mask_r])
+    x, stats = run_solver(model, op, SolverParams(variant=variant, epsilon=0.1))
+    assert stats.converged
+    np.testing.assert_allclose(x, y, atol=1e-8)
+    np.testing.assert_array_equal(x[model.mask_r], y[model.mask_r])
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_solver_full_sparsity_one_iteration(variant):
     _, model = sparse_clip_instance()
     op = make_frame(64, 2)
-    result = run_solver(
+    _, stats = run_solver(
         model, op, SolverParams(s=op.coeff_len, epsilon=0.1, variant=variant)
     )
-    assert result.converged
-    assert result.iterations == 1
+    assert stats.converged
+    assert stats.iterations == 1
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -317,22 +317,22 @@ def test_run_solver_halts_when_capped(variant):
     y = hard_clip(rng.standard_normal(32), 0.4)  # noise: not sparse, won't converge
     model = detect_masks(y, 0.4, 0.0)
     op = make_frame(32, 2)
-    result = run_solver(
+    _, stats = run_solver(
         model, op, SolverParams(s=4, r=1, epsilon=1e-12, variant=variant)
     )
-    assert not result.converged
-    assert np.isfinite(result.final_residual)
+    assert not stats.converged
+    assert np.isfinite(stats.final_residual)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_solver_output_feasible_exactly(variant):
-    _, model = sparse_clip_instance()
+    x, model = sparse_clip_instance()
+    theta = 0.5 * np.max(np.abs(x))  # the instance's clip level
     op = make_frame(64, 2)
-    result = run_solver(model, op, SolverParams(epsilon=0.1, variant=variant))
-    x = result.x_restored
+    x, _ = run_solver(model, op, SolverParams(epsilon=0.1, variant=variant))
     np.testing.assert_array_equal(x[model.mask_r], model.y[model.mask_r])
-    assert np.all(x[model.mask_h] >= model.theta)
-    assert np.all(x[model.mask_l] <= -model.theta)
+    assert np.all(x[model.mask_h] >= theta)
+    assert np.all(x[model.mask_l] <= -theta)
 
 
 def test_aspade_projected_synthesis_solves_analysis_projection():
