@@ -88,7 +88,7 @@ def detect_masks(
     """
     if not theta > 0:  # also rejects NaN
         raise ValueError(f"theta must be positive, got {theta}")
-    if delta_detect < 0:
+    if not delta_detect >= 0:
         raise ValueError(f"delta_detect must be nonnegative, got {delta_detect}")
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):

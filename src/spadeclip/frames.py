@@ -98,13 +98,13 @@ def make_frame(signal_len: int, redundancy: float | Fraction = 1) -> FrameOperat
     """Build a tight DFT frame of DFT length P = redundancy * signal_len.
 
     Redundancy 1 yields a unitary frame; redundancy > 1 a redundant one.
-    Raises ValueError if signal_len < 1, redundancy < 1, or the implied
-    DFT length is not an integer.
+    Raises ValueError if signal_len < 1, redundancy is not finite or < 1,
+    or the implied DFT length is not an integer.
     """
     if signal_len < 1:
         raise ValueError(f"signal_len must be positive, got {signal_len}")
-    if redundancy < 1:
-        raise ValueError(f"redundancy must be >= 1, got {redundancy}")
+    if not 1 <= redundancy < math.inf:  # also rejects NaN
+        raise ValueError(f"redundancy must be finite and >= 1, got {redundancy}")
     p_exact = Fraction(redundancy).limit_denominator(10**9) * signal_len
     if p_exact.denominator != 1:
         raise ValueError(

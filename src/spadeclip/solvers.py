@@ -3,7 +3,8 @@
 All three variants alternate a k-sparse hard-thresholding step with a
 projection onto the clipping-consistent set, accumulate the constraint
 residual in a scaled dual variable, and grow the sparsity target k by s
-every r iterations until the residual drops below epsilon.
+every r iterations until the residual is at most epsilon or k passes the
+coefficient count; the last iterate is the result.
 
 * ASPADE: analysis formulation; iterates a time-domain estimate, the dual
   variable lives in the coefficient domain.
@@ -63,27 +64,24 @@ class SolverParams:
     """Sparsity schedule and termination settings.
 
     k starts at `s` and grows by `s` every `r` iterations; the solve stops
-    once the residual is <= `epsilon` or k exceeds `max_k` (default: the
-    coefficient count P//2 + 1 of the frame). k counts half-spectrum
-    coefficients, so each step keeps whole conjugate pairs of the full
-    DFT; DC and Nyquist count one each.
+    once the residual is <= `epsilon` or k exceeds the frame's coefficient
+    count P//2 + 1. k counts half-spectrum coefficients, so each step keeps
+    whole conjugate pairs of the full DFT; DC and Nyquist count one each.
     """
 
     s: int = 1
     r: int = 1
     epsilon: float = 0.1
-    max_k: int | None = None
     variant: Variant = Variant.ASPADE
 
     def __post_init__(self):
-        if self.s < 1:
+        # `not x >= bound` also rejects NaN
+        if not self.s >= 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.r < 1:
+        if not self.r >= 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.max_k is not None and self.max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {self.max_k}")
 
 
 @dataclass(frozen=True)
@@ -247,50 +245,36 @@ def solve_batch(
     """Solve every frame of a batched model (arrays of shape (frames, N)).
 
     Returns the restored frames, one per row, and each frame's stats. Each
-    frame iterates until its residual meets epsilon (converged) or k
-    exceeds max_k (not converged), and then leaves the batch, so the other
-    frames go on without it. Non-convergence is not an error: each frame
-    returns the lowest-residual iterate it saw, which is always
-    clipping-consistent. A frame's result does not depend on the other
-    frames in the batch.
-
-    An iterate replaces the frame's best only if its residual is strictly
-    lower, so on a tie the earlier iterate stays. Two frame operators that
-    agree only to rounding can therefore report a different `final_k` (and
-    a near-identical output) for a frame that stopped at max_k.
+    frame iterates until its residual is <= epsilon (converged) or its k
+    exceeds the coefficient count `op.coeff_len` (not converged), and then
+    leaves the batch, so the other frames go on without it. Either way the
+    frame returns its last iterate, which is clipping-consistent, with that
+    iterate's residual and k: a converged frame reports the k it converged
+    at, a capped one the advanced k that passed the cap. Non-convergence is
+    not an error. A frame's result does not depend on the other frames in
+    the batch.
     """
-    max_k = params.max_k if params.max_k is not None else op.coeff_len
     step_fn = _STEPS[params.variant]
     state = init_state(model, op, params)
     num = model.y.shape[0]
-    best_x = model.y.copy()
-    best_residual = np.full(num, np.inf)
-    best_k = np.full(num, state.k)
-    iterations = np.zeros(num, dtype=int)
-    converged = np.zeros(num, dtype=bool)
+    restored = np.empty_like(model.y)
+    stats = [None] * num
     rows = np.arange(num)  # frame index of each row still in the batch
     while rows.size:
         k_before = state.k
         state = step_fn(state, model, op, params)
         done = state.residual <= params.epsilon
-        k = np.where(done, k_before, state.k)  # a converged frame does not advance k
-        better = state.residual < best_residual[rows]
-        best_x[rows[better]] = state.x_hat[better]
-        best_residual[rows[better]] = state.residual[better]
-        best_k[rows[better]] = k[better]
-        retired = done | (k > max_k)
+        retired = done | (state.k > op.coeff_len)
         if retired.any():
-            converged[rows[done]] = True
-            iterations[rows[retired]] = state.i
+            restored[rows[retired]] = state.x_hat[retired]
+            for m, res, c in zip(rows[retired], state.residual[retired], done[retired]):
+                # a converged frame does not advance k
+                stats[m] = FrameStats(state.i, float(res), k_before if c else state.k, bool(c))
             stay = ~retired
             rows = rows[stay]
             state = state.select(stay)
             model = model.select(stay)
-    stats = [
-        FrameStats(int(i), float(res), int(k), bool(c))
-        for i, res, k, c in zip(iterations, best_residual, best_k, converged)
-    ]
-    return best_x, stats
+    return restored, stats
 
 
 def run_solver(

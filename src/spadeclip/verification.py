@@ -49,18 +49,19 @@ __all__ = [
 ]
 
 
+# exact identities in floating point; identities through an FFT or a projection
+TOL_STRICT = 1e-12
+TOL_NUMERIC = 1e-9
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     n_trials: int = 100
     seed: int = 0
-    tol_strict: float = 1e-12
-    tol_numeric: float = 1e-9
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
-        if not 0 < self.tol_strict <= self.tol_numeric:
-            raise ValueError("need 0 < tol_strict <= tol_numeric")
 
 
 @dataclass(frozen=True)
@@ -213,9 +214,7 @@ def check_scaled_form(config: OracleConfig) -> CheckReport:
         max_dev = max(
             max_dev, abs(np.linalg.norm(c) ** 2 - np.linalg.norm(stacked) ** 2)
         )
-    return CheckReport(
-        "scaled-form identity", max_dev <= config.tol_strict, max_dev, config.tol_strict
-    )
+    return CheckReport("scaled-form identity", max_dev <= TOL_STRICT, max_dev, TOL_STRICT)
 
 
 def check_projection_transposition(
@@ -246,9 +245,7 @@ def check_projection_transposition(
             cand = project_gamma(rng.standard_normal(op.signal_len), model)
             max_gap = max(max_gap, proj_obj - np.linalg.norm(op.analyze(cand) - s))
     dev = max(max_ortho, max_gap)
-    return CheckReport(
-        "projection transposition", dev <= config.tol_numeric, dev, config.tol_numeric
-    )
+    return CheckReport("projection transposition", dev <= TOL_NUMERIC, dev, TOL_NUMERIC)
 
 
 def make_test_model(
@@ -323,10 +320,7 @@ def _check_parseval_dense(config: OracleConfig) -> CheckReport:
                 max_dev, float(np.max(np.abs(op.synthesize(c) - np.real(d @ c))))
             )
     return CheckReport(
-        "tight frame vs dense matrices",
-        max_dev <= config.tol_numeric,
-        max_dev,
-        config.tol_numeric,
+        "tight frame vs dense matrices", max_dev <= TOL_NUMERIC, max_dev, TOL_NUMERIC
     )
 
 
@@ -361,10 +355,7 @@ def _check_sparse_approximation(config: OracleConfig) -> CheckReport:
             max_dev = max(max_dev, obj - time_err**2)  # exact optimum is a lower bound
             max_dev = max(max_dev, time_err - coef_err)  # synthesis is a contraction
     return CheckReport(
-        "sparse approximation bounds",
-        max_dev <= config.tol_numeric,
-        max_dev,
-        config.tol_numeric,
+        "sparse approximation bounds", max_dev <= TOL_NUMERIC, max_dev, TOL_NUMERIC
     )
 
 
@@ -395,8 +386,6 @@ def run_all_checks(config: OracleConfig) -> list[CheckReport]:
         for n in (63, 64)
     )
     reports.append(
-        CheckReport(
-            "unitary variant equivalence", dev <= config.tol_numeric, dev, config.tol_numeric
-        )
+        CheckReport("unitary variant equivalence", dev <= TOL_NUMERIC, dev, TOL_NUMERIC)
     )
     return reports

@@ -71,7 +71,7 @@ def test_criterion_2_hard_threshold_exactness():
 
 
 def test_criterion_3_scaled_form_identity():
-    report = check_scaled_form(OracleConfig(n_trials=1000, seed=2, tol_strict=1e-12))
+    report = check_scaled_form(OracleConfig(n_trials=1000, seed=2))
     assert report.passed and report.max_deviation <= 1e-12
     announce("3 scaled-form identity", f"max dev {report.max_deviation:.2e}")
 
@@ -173,7 +173,7 @@ def test_criterion_9_termination(variant):
     _, capped = run_solver(
         model,
         op,
-        SolverParams(s=2, r=1, epsilon=1e-14, max_k=op.coeff_len, variant=variant),
+        SolverParams(s=2, r=1, epsilon=1e-14, variant=variant),
     )
     assert capped.converged in (True, False)  # halted either way
 

@@ -241,6 +241,36 @@ def test_cli_rejects_nan_theta(clean_wav, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--epsilon", "nan"),
+        ("--delta-detect", "nan"),
+        ("--redundancy", "inf"),
+        ("--redundancy", "nan"),
+    ],
+)
+def test_declip_rejects_non_finite_settings(clean_wav, tmp_path, capsys, option, value):
+    out = tmp_path / "out.wav"
+    code, _ = run_cli(
+        "declip", "--input", clean_wav, "--output", out, "--theta", 0.5, option, value
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_bench_rejects_non_finite_redundancy(clean_wav, tmp_path, capsys, value):
+    code, _ = run_cli(
+        "bench", "--input", clean_wav, "--output", tmp_path / "out.csv",
+        "--variants", "aspade", "--thetas", 0.5, "--redundancies", value,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: redundancy")
+
+
 def test_declip_theta_auto_is_the_peak(tmp_path):
     # detection admits samples within delta of theta, so theta itself is the
     # peak: a sample 1.5 delta below it is reliable and passes through

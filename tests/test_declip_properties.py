@@ -1,15 +1,24 @@
 """End-to-end invariants of `declip_signal` over random inputs and settings.
 
 Lengths run from one sample, through less than one frame, to several
-frames off the hop grid; frames are short (16 to 64 samples) and `max_k`
-small, so every example solves in milliseconds.
+frames off the hop grid. Frames are short (16 to 64 samples), so even a
+frame that runs to the sparsity cap solves in milliseconds. Each solved
+frame must stop by the one rule `solve_batch` states: at its first
+iterate with residual <= epsilon, or once k passes the coefficient count.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spadeclip import SolverParams, Variant, declip_signal, detect_masks, hard_clip
+from spadeclip import (
+    SolverParams,
+    Variant,
+    declip_signal,
+    detect_masks,
+    hard_clip,
+    make_frame,
+)
 from spadeclip.segmentation import plan_segmentation
 
 
@@ -29,7 +38,6 @@ def declip_cases(draw):
     params = SolverParams(
         s=draw(st.integers(1, 3)),
         r=draw(st.integers(1, 3)),
-        max_k=draw(st.integers(1, 8)),
         variant=draw(st.sampled_from(list(Variant))),
     )
     redundancy = draw(st.sampled_from([1, 1.5, 2]))
@@ -52,11 +60,18 @@ def test_declip_signal_invariants(case):
 
     num_frames = plan_segmentation(len(y), frame_len, hop).num_frames
     assert len(report.per_frame) == num_frames
-    # k starts at s and grows by s every r iterations; a frame stops once k > max_k
-    bound = max(1, params.r * (params.max_k // params.s))
+    s, r = params.s, params.r
+    # k starts at s and grows by s every r iterations; a frame is capped at
+    # the first iteration that takes k past the coefficient count C
+    capped_iterations = max(1, r * (make_frame(frame_len, redundancy).coeff_len // s))
     for m, stats in enumerate(report.per_frame):
         clipped = not model.mask_r[m * hop : m * hop + frame_len].all()
-        if clipped:
-            assert 1 <= stats.iterations <= bound
-        else:
+        if not clipped:
             assert stats.iterations == 0 and stats.converged
+            continue
+        if stats.converged:
+            assert 1 <= stats.iterations <= capped_iterations
+        else:
+            assert stats.iterations == capped_iterations
+        # the last iterate's k: a converged frame did not advance it
+        assert stats.final_k == s + s * ((stats.iterations - stats.converged) // r)

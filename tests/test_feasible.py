@@ -60,6 +60,9 @@ def test_clip_model_validation():
         ClipModel(y, lo=np.array([0.0, 1.0]), hi=np.array([0.0, 0.5]))
     with pytest.raises(ValueError):  # theta is checked where the box is built
         detect_masks(y, 0.0)
+    for delta in (-1e-6, np.nan):  # and so is delta
+        with pytest.raises(ValueError, match="delta_detect"):
+            detect_masks(y, 1.0, delta)
 
 
 # ---------------------------------------------------------------- box properties

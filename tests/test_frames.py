@@ -40,10 +40,10 @@ def test_make_frame_redundant_parseval_matrix_oracle(redundancy, p):
 
 @pytest.mark.parametrize(
     "signal_len,redundancy",
-    [(0, 1), (-3, 2), (64, 0.5), (64, 1.3), (10, 1.05)],
+    [(0, 1), (-3, 2), (64, 0.5), (64, 1.3), (10, 1.05), (64, np.inf), (64, np.nan)],
 )
 def test_make_frame_rejects_bad_args(signal_len, redundancy):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="signal_len|redundancy"):
         make_frame(signal_len, redundancy)
 
 

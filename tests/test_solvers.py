@@ -325,6 +325,24 @@ def test_run_solver_halts_when_capped(variant):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
+def test_run_solver_capped_returns_last_iterate(variant):
+    # on this frame some earlier iterate has a lower residual than the last
+    rng = np.random.default_rng(19)
+    y = hard_clip(rng.standard_normal(16), 0.4)
+    model = detect_masks(y, 0.4, 0.0)
+    op = make_frame(16, 1)
+    params = SolverParams(s=1, r=1, epsilon=0.0, variant=variant)
+    x, stats = run_solver(model, op, params)
+    state = init_state(model, op, params)
+    while state.k <= op.coeff_len:
+        state = step(state, model, op, params)
+    assert not stats.converged
+    assert (stats.iterations, stats.final_k) == (state.i, state.k)
+    assert stats.final_residual == state.residual
+    np.testing.assert_array_equal(x, state.x_hat)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
 def test_run_solver_output_feasible_exactly(variant):
     x, model = sparse_clip_instance()
     theta = 0.5 * np.max(np.abs(x))  # the instance's clip level
@@ -380,5 +398,7 @@ def test_solver_params_validation():
         SolverParams(r=0)
     with pytest.raises(ValueError):
         SolverParams(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(max_k=0)
+    # NaN fails every comparison, so it must not slip past the checks
+    for field in ("s", "r", "epsilon"):
+        with pytest.raises(ValueError, match=field):
+            SolverParams(**{field: float("nan")})

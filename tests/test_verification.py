@@ -21,8 +21,6 @@ from spadeclip.verification import (
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(n_trials=0)
-    with pytest.raises(ValueError):
-        OracleConfig(tol_strict=1e-6, tol_numeric=1e-9)
 
 
 def test_dense_matrices_form_a_tight_frame():
