@@ -33,9 +33,6 @@ CSV_FIELDS = [
     "runtime_s",
 ]
 
-VARIANTS = {v.value: v for v in Variant}
-
-
 def _fmt(value: float) -> str:
     return "inf" if np.isinf(value) else f"{value:.4f}"
 
@@ -63,6 +60,12 @@ def _csv_row(variant: str, theta, redundancy, report) -> dict:
     }
 
 
+def _write_csv(fh, rows) -> None:
+    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def cmd_clip(args) -> int:
     rate, x = read_wav(args.input)
     clipped = hard_clip(x, args.theta)
@@ -79,7 +82,7 @@ def cmd_declip(args) -> int:
     # delta of theta as clipped
     theta = float(np.max(np.abs(y))) if args.theta == "auto" else float(args.theta)
     params = SolverParams(
-        s=args.s, r=args.r, epsilon=args.epsilon, variant=VARIANTS[args.variant]
+        s=args.s, r=args.r, epsilon=args.epsilon, variant=Variant(args.variant)
     )
     restored, reports = [], []
     for channel in channels:
@@ -102,10 +105,9 @@ def cmd_declip(args) -> int:
             print(prefix + line)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            for report in reports:
-                writer.writerow(_csv_row(args.variant, _fmt(theta), args.redundancy, report))
+            _write_csv(
+                fh, [_csv_row(args.variant, _fmt(theta), args.redundancy, r) for r in reports]
+            )
     return EXIT_OK
 
 
@@ -114,35 +116,33 @@ def cmd_bench(args) -> int:
     if x.ndim > 1:
         raise ValueError(f"bench needs a mono reference; {args.input} has {x.shape[1]} channels")
     peak = float(np.max(np.abs(x)))
-    variants = [VARIANTS[v] for v in args.variants.split(",")]
+    variants = [Variant(v) for v in args.variants.split(",")]
     thetas = [float(t) for t in args.thetas.split(",")]
     redundancies = [float(r) for r in args.redundancies.split(",")]
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    writer = csv.DictWriter(out, fieldnames=CSV_FIELDS)
-    writer.writeheader()
-    try:
-        for variant in variants:
-            for theta_rel in thetas:
-                theta = theta_rel * peak
-                y = hard_clip(x, theta)
-                for red in redundancies:
-                    params = SolverParams(
-                        s=args.s, r=args.r, epsilon=args.epsilon, variant=variant
-                    )
-                    _, report = declip_signal(
-                        y,
-                        theta,
-                        params,
-                        frame_len=args.frame_len,
-                        hop=args.hop,
-                        redundancy=red,
-                        delta_detect=args.delta_detect,
-                        reference=x,
-                    )
-                    writer.writerow(_csv_row(variant.value, theta_rel, red, report))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = []
+    for variant in variants:
+        params = SolverParams(s=args.s, r=args.r, epsilon=args.epsilon, variant=variant)
+        for theta_rel in thetas:
+            theta = theta_rel * peak
+            y = hard_clip(x, theta)
+            for red in redundancies:
+                _, report = declip_signal(
+                    y,
+                    theta,
+                    params,
+                    frame_len=args.frame_len,
+                    hop=args.hop,
+                    redundancy=red,
+                    delta_detect=args.delta_detect,
+                    reference=x,
+                )
+                rows.append(_csv_row(variant.value, theta_rel, red, report))
+    # every cell is computed before the output is opened: a failing bench writes nothing
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
+            _write_csv(fh, rows)
+    else:
+        _write_csv(sys.stdout, rows)
     return EXIT_OK
 
 
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_declip = sub.add_parser("declip", help="restore a clipped WAV file")
     p_declip.add_argument("--input", required=True)
     p_declip.add_argument("--output", required=True)
-    p_declip.add_argument("--variant", choices=sorted(VARIANTS), default="aspade")
+    p_declip.add_argument("--variant", choices=[v.value for v in Variant], default="aspade")
     p_declip.add_argument(
         "--theta", default="auto", help='clip threshold, or "auto" (the peak |y|)'
     )

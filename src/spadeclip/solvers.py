@@ -6,12 +6,11 @@ residual in a scaled dual variable, and grow the sparsity target k by s
 every r iterations until the residual is at most epsilon or k passes the
 coefficient count; the last iterate is the result.
 
-* ASPADE: analysis formulation; iterates a time-domain estimate, the dual
-  variable lives in the coefficient domain.
-* SSPADE_ORIG: synthesis formulation with the constraint carried on the
-  coefficients themselves; iterates coefficients, dual in the coefficient
-  domain. (Solves a synthesis problem whose sparsity constraint binds the
-  coefficient estimate directly rather than the synthesized signal.)
+* ASPADE and SSPADE_ORIG share one coefficient-domain iteration: threshold
+  the coefficient iterate w plus the coefficient dual u, then project back
+  onto a set of coefficients. A-SPADE's set is the analysis coefficients
+  of consistent signals, S-SPADE's the coefficients whose synthesis is
+  consistent; only that projection, and so the update of w, differs.
 * SSPADE_DR: synthesis formulation consistent with the analysis one; the
   sparse step is approximated by thresholding analysis coefficients, dual
   is a real time-domain vector.
@@ -44,9 +43,6 @@ __all__ = [
     "SolverState",
     "hard_threshold",
     "init_state",
-    "aspade_step",
-    "sspade_orig_step",
-    "sspade_dr_step",
     "step",
     "solve_batch",
     "run_solver",
@@ -88,8 +84,10 @@ class SolverParams:
 class SolverState:
     """One iteration's variables. `i` counts completed iterations.
 
-    For a batch, the arrays have a leading frame axis and `residual` holds
-    one value per frame; `k` and `i` are shared by the batch.
+    `w` is the coefficient iterate of ASPADE and SSPADE_ORIG, None for
+    SSPADE_DR. For a batch, the arrays have a leading frame axis and
+    `residual` holds one value per frame; `k` and `i` are shared by the
+    batch.
     """
 
     x_hat: np.ndarray
@@ -98,8 +96,7 @@ class SolverState:
     k: int
     i: int = 0
     residual: float | np.ndarray = np.inf
-    z_hat: np.ndarray | None = None  # SSPADE_ORIG primal coefficients
-    ax: np.ndarray | None = None  # ASPADE: analyze(x_hat), reused by the next step
+    w: np.ndarray | None = None
 
     def select(self, rows) -> SolverState:
         """The state of the chosen frames of a batch."""
@@ -109,8 +106,7 @@ class SolverState:
             z_bar=self.z_bar[rows],
             u=self.u[rows],
             residual=self.residual[rows],
-            z_hat=None if self.z_hat is None else self.z_hat[rows],
-            ax=None if self.ax is None else self.ax[rows],
+            w=None if self.w is None else self.w[rows],
         )
 
 
@@ -142,18 +138,13 @@ def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
 
 def init_state(model: ClipModel, op: FrameOperator, params: SolverParams) -> SolverState:
     """Starting state: estimate pinned to the observation, zero dual, k = s."""
-    coef_shape = model.y.shape[:-1] + (op.coeff_len,)
-    z_bar = np.zeros(coef_shape, dtype=complex)
-    kw = {}
-    if params.variant is Variant.SSPADE_ORIG:
-        kw["z_hat"] = op.analyze(model.y)
-        u = np.zeros(coef_shape, dtype=complex)
-    elif params.variant is Variant.SSPADE_DR:
-        u = np.zeros(model.y.shape)
-    else:
-        kw["ax"] = op.analyze(model.y)
-        u = np.zeros(coef_shape, dtype=complex)
-    return SolverState(x_hat=model.y.copy(), z_bar=z_bar, u=u, k=params.s, **kw)
+    x_hat = model.y.copy()
+    z_bar = np.zeros(model.y.shape[:-1] + (op.coeff_len,), dtype=complex)
+    if params.variant is Variant.SSPADE_DR:
+        return SolverState(x_hat, z_bar, u=np.zeros(model.y.shape), k=params.s)
+    return SolverState(
+        x_hat, z_bar, u=np.zeros_like(z_bar), k=params.s, w=op.analyze(model.y)
+    )
 
 
 def _norm(a: np.ndarray):
@@ -171,52 +162,36 @@ def _advance(state: SolverState, params: SolverParams, u_new, residual, **kw) ->
     return replace(state, u=u_new, residual=residual, i=i, k=k, **kw)
 
 
-def aspade_step(
+def _coef_step(
     state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
 ) -> SolverState:
-    """One analysis-variant iteration: threshold, project, dual update."""
-    z_bar = hard_threshold(state.ax + state.u, state.k)
-    x_hat = project_gamma(op.synthesize(z_bar - state.u), model)
-    ax = op.analyze(x_hat)
-    return _advance(
-        state,
-        params,
-        state.u + ax - z_bar,
-        _norm(ax - z_bar),
-        x_hat=x_hat,
-        z_bar=z_bar,
-        ax=ax,
-    )
+    """One ASPADE or SSPADE_ORIG iteration: threshold, project, dual update.
 
-
-def sspade_orig_step(
-    state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
-) -> SolverState:
-    """One original-synthesis iteration; the primal variable is z_hat.
-
-    The coefficient projection (`project_gamma_coef`) is written out so its
-    projected synthesis doubles as the time-domain estimate.
+    Both project c = z_bar - u onto their constraint set through x_hat, the
+    consistent signal nearest to v = synthesize(c). A-SPADE takes
+    analyze(x_hat); S-SPADE takes c + analyze(x_hat - v), the coefficient
+    projection `verification.project_gamma_coef`. On a unitary frame
+    analyze(synthesize(c)) = c for every c whose DC and Nyquist bins are
+    real, as the iterates' are, so the two updates coincide; the lockstep
+    `unitary variant equivalence` check confirms it.
     """
-    z_bar = hard_threshold(state.z_hat + state.u, state.k)
+    z_bar = hard_threshold(state.w + state.u, state.k)
     c = z_bar - state.u
     v = op.synthesize(c)
     x_hat = project_gamma(v, model)
-    z_hat = c + op.analyze(x_hat - v)
+    if params.variant is Variant.ASPADE:
+        w = op.analyze(x_hat)
+    else:
+        w = c + op.analyze(x_hat - v)
     return _advance(
-        state,
-        params,
-        state.u + z_hat - z_bar,
-        _norm(z_hat - z_bar),
-        z_hat=z_hat,
-        x_hat=x_hat,
-        z_bar=z_bar,
+        state, params, state.u + w - z_bar, _norm(w - z_bar), x_hat=x_hat, z_bar=z_bar, w=w
     )
 
 
-def sspade_dr_step(
+def _dr_step(
     state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
 ) -> SolverState:
-    """One corrected-synthesis iteration; the dual lives in the time domain."""
+    """One SSPADE_DR iteration; the dual lives in the time domain."""
     z_bar = hard_threshold(op.analyze(state.x_hat - state.u), state.k)
     dz = op.synthesize(z_bar)
     x_hat = project_gamma(dz + state.u, model)
@@ -225,18 +200,13 @@ def sspade_dr_step(
     )
 
 
-_STEPS = {
-    Variant.ASPADE: aspade_step,
-    Variant.SSPADE_ORIG: sspade_orig_step,
-    Variant.SSPADE_DR: sspade_dr_step,
-}
-
-
 def step(
     state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
 ) -> SolverState:
     """Advance one iteration of the variant selected in params."""
-    return _STEPS[params.variant](state, model, op, params)
+    if params.variant is Variant.SSPADE_DR:
+        return _dr_step(state, model, op, params)
+    return _coef_step(state, model, op, params)
 
 
 def solve_batch(
@@ -254,7 +224,6 @@ def solve_batch(
     not an error. A frame's result does not depend on the other frames in
     the batch.
     """
-    step_fn = _STEPS[params.variant]
     state = init_state(model, op, params)
     num = model.y.shape[0]
     restored = np.empty_like(model.y)
@@ -262,7 +231,7 @@ def solve_batch(
     rows = np.arange(num)  # frame index of each row still in the batch
     while rows.size:
         k_before = state.k
-        state = step_fn(state, model, op, params)
+        state = step(state, model, op, params)
         done = state.residual <= params.epsilon
         retired = done | (state.k > op.coeff_len)
         if retired.any():

@@ -9,8 +9,10 @@ subcommand.
 
 The module also holds plain references that the package itself does not
 call: `restrict_model` slices one frame's clip model, as `restrict_frames`
-gathers every frame at once, and `project_gamma_coef` is the coefficient
-projection that S-SPADE's step writes out.
+gathers every frame at once, and `project_gamma_coef` is S-SPADE's
+coefficient projection, which the solvers' shared coefficient step
+computes inline so that its projected synthesis doubles as the
+time-domain estimate.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from spadeclip.solvers import (
     hard_threshold,
     init_state,
     run_solver,
-    sspade_dr_step,
+    step,
 )
 from spadeclip.verification import (
     OracleConfig,
@@ -111,7 +111,7 @@ def test_criterion_6_synthesis_approximation_bound():
     worst = -np.inf
     for _ in range(500):
         target = state.x_hat - state.u
-        state = sspade_dr_step(state, model, op, params)
+        state = step(state, model, op, params)
         time_err = np.linalg.norm(op.synthesize(state.z_bar) - target)
         coef_err = np.linalg.norm(state.z_bar - op.analyze(target))
         worst = max(worst, time_err - coef_err)

@@ -271,6 +271,27 @@ def test_bench_rejects_non_finite_redundancy(clean_wav, tmp_path, capsys, value)
     assert capsys.readouterr().err.startswith("error: redundancy")
 
 
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--redundancies", "inf"),
+        ("--epsilon", "nan"),
+        ("--thetas", "0.5,nan"),  # the first cell finishes before the second fails
+        ("--variants", "foo"),
+        ("--variants", "sspade-DR"),
+    ],
+)
+def test_failing_bench_writes_nothing(clean_wav, tmp_path, capsys, option, value):
+    out = tmp_path / "out.csv"
+    common = ["--input", clean_wav, "--frame-len", 256, "--hop", 64, option, value]
+    code, _ = run_cli("bench", *common, "--output", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    code, text = run_cli("bench", *common)
+    assert code == 2 and text == ""
+
+
 def test_declip_theta_auto_is_the_peak(tmp_path):
     # detection admits samples within delta of theta, so theta itself is the
     # peak: a sample 1.5 delta below it is reliable and passes through

@@ -12,12 +12,9 @@ from spadeclip.metrics import sdr
 from spadeclip.solvers import (
     SolverParams,
     Variant,
-    aspade_step,
     hard_threshold,
     init_state,
     run_solver,
-    sspade_dr_step,
-    sspade_orig_step,
     step,
 )
 
@@ -119,7 +116,7 @@ def test_aspade_all_reliable_pins_estimate():
     params = SolverParams(s=1, r=1, epsilon=1e-12, variant=Variant.ASPADE)
     state = init_state(model, op, params)
     for _ in range(5):
-        state = aspade_step(state, model, op, params)
+        state = step(state, model, op, params)
         np.testing.assert_array_equal(state.x_hat, y)
 
 
@@ -127,7 +124,7 @@ def test_aspade_full_sparsity_converges_first_iteration():
     _, model = sparse_clip_instance()
     op = make_frame(64, 2)
     params = SolverParams(s=op.coeff_len, variant=Variant.ASPADE)
-    state = aspade_step(init_state(model, op, params), model, op, params)
+    state = step(init_state(model, op, params), model, op, params)
     assert state.residual <= 1e-10
     np.testing.assert_allclose(state.x_hat, model.y, atol=1e-10)
 
@@ -148,7 +145,7 @@ def test_aspade_first_step_matches_dense_matrix_reference():
     ) / np.sqrt(p)
 
     params = SolverParams(s=3, variant=Variant.ASPADE)
-    state = aspade_step(init_state(model, op, params), model, op, params)
+    state = step(init_state(model, op, params), model, op, params)
 
     # matrix-form reference for one step from u=0, x_hat=y
     c = a_mat @ model.y
@@ -167,6 +164,44 @@ def test_aspade_first_step_matches_dense_matrix_reference():
     np.testing.assert_allclose(state.u, u_ref, atol=1e-10)
 
 
+def test_sspade_orig_first_step_matches_dense_matrix_reference():
+    # on a redundant frame the coefficient update differs from A-SPADE's
+    n = 16
+    t = np.arange(n)
+    x = np.sin(2 * np.pi * 3 * t / n + 0.3) + 0.6 * np.sin(2 * np.pi * 5 * t / n + 1.1)
+    theta = 0.5 * np.max(np.abs(x))
+    model = detect_masks(hard_clip(x, theta), theta, delta_detect=0.0)
+    op = make_frame(16, 2)
+    p = op.dft_len
+    bins = np.arange(p // 2 + 1)
+    weights = np.where((bins == 0) | (2 * bins == p), 1.0, np.sqrt(2))
+    a_mat = weights[:, None] * np.exp(
+        -2j * np.pi * np.outer(bins, np.arange(16)) / p
+    ) / np.sqrt(p)
+
+    params = SolverParams(s=3, variant=Variant.SSPADE_ORIG)
+    state = step(init_state(model, op, params), model, op, params)
+
+    # matrix-form reference for one step from u=0, coefficients A y
+    w = a_mat @ model.y
+    z_ref = np.zeros(len(bins), dtype=complex)
+    keep = np.argsort(-np.abs(w), kind="stable")[:3]
+    z_ref[keep] = w[keep]
+    c = z_ref  # z_bar - u with u = 0
+    v = np.real(a_mat.conj().T @ c)
+    x_ref = v.copy()
+    x_ref[model.mask_r] = model.y[model.mask_r]
+    x_ref[model.mask_h] = np.maximum(v[model.mask_h], theta)
+    x_ref[model.mask_l] = np.minimum(v[model.mask_l], -theta)
+    u_ref = c + a_mat @ (x_ref - v) - z_ref
+
+    np.testing.assert_allclose(state.z_bar, z_ref, atol=1e-10)
+    np.testing.assert_allclose(state.x_hat, x_ref, atol=1e-10)
+    np.testing.assert_allclose(state.u, u_ref, atol=1e-10)
+    # the update is not A-SPADE's: A D != I on a redundant frame
+    assert np.max(np.abs(u_ref - (a_mat @ x_ref - z_ref))) > 1e-3
+
+
 def test_sspade_orig_all_reliable_unitary_returns_y():
     rng = np.random.default_rng(2)
     y = rng.standard_normal(32)
@@ -181,7 +216,7 @@ def test_sspade_orig_full_sparsity_converges_first_iteration():
     _, model = sparse_clip_instance()
     op = make_frame(64, 2)
     params = SolverParams(s=op.coeff_len, variant=Variant.SSPADE_ORIG)
-    state = sspade_orig_step(init_state(model, op, params), model, op, params)
+    state = step(init_state(model, op, params), model, op, params)
     assert state.residual <= 1e-10
     np.testing.assert_allclose(state.x_hat, model.y, atol=1e-10)
 
@@ -195,7 +230,7 @@ def test_sspade_dr_all_reliable_pins_estimate():
     params = SolverParams(s=2, epsilon=1e-12, variant=Variant.SSPADE_DR)
     state = init_state(model, op, params)
     for _ in range(5):
-        state = sspade_dr_step(state, model, op, params)
+        state = step(state, model, op, params)
         np.testing.assert_array_equal(state.x_hat, y)
 
 
@@ -203,7 +238,7 @@ def test_sspade_dr_full_sparsity_unitary_converges_first_iteration():
     _, model = sparse_clip_instance()
     op = make_frame(64, 1)
     params = SolverParams(s=64, variant=Variant.SSPADE_DR)
-    state = sspade_dr_step(init_state(model, op, params), model, op, params)
+    state = step(init_state(model, op, params), model, op, params)
     assert state.residual <= 1e-10
     np.testing.assert_allclose(state.x_hat, model.y, atol=1e-10)
 
@@ -216,7 +251,7 @@ def test_sspade_dr_approximation_bound_every_iteration():
     state = init_state(model, op, params)
     for _ in range(100):
         target = state.x_hat - state.u
-        state = sspade_dr_step(state, model, op, params)
+        state = step(state, model, op, params)
         time_err = np.linalg.norm(op.synthesize(state.z_bar) - target)
         coef_err = np.linalg.norm(state.z_bar - op.analyze(target))
         assert time_err <= coef_err + 1e-12
