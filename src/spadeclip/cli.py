@@ -106,7 +106,7 @@ def cmd_declip(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             _write_csv(
-                fh, [_csv_row(args.variant, _fmt(theta), args.redundancy, r) for r in reports]
+                fh, [_csv_row(args.variant, theta, args.redundancy, r) for r in reports]
             )
     return EXIT_OK
 

@@ -12,8 +12,9 @@ __all__ = ["FrameStats", "DeclipReport", "sdr", "sdr_masked"]
 def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
     """Signal-to-distortion ratio 20*log10(||ref|| / ||ref - est||) in dB.
 
-    Returns +inf when the estimate matches the reference exactly. No
-    alignment or scaling is applied.
+    Returns +inf when the estimate matches the reference exactly, an
+    all-zero one included; any other estimate of an all-zero reference
+    raises. No alignment or scaling is applied.
     """
     reference = np.asarray(reference, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
@@ -21,12 +22,12 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
         raise ValueError(
             f"length mismatch: {reference.shape} vs {estimate.shape}"
         )
-    ref_norm = np.linalg.norm(reference)
-    if ref_norm == 0:
-        raise ValueError("reference signal is all-zero")
     err_norm = np.linalg.norm(reference - estimate)
     if err_norm == 0:
         return np.inf
+    ref_norm = np.linalg.norm(reference)
+    if ref_norm == 0:
+        raise ValueError("reference signal is all-zero")
     return float(20 * np.log10(ref_norm / err_norm))
 
 

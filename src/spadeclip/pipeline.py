@@ -1,4 +1,10 @@
-"""End-to-end declipping of long signals: detect, segment, solve, recombine."""
+"""End-to-end declipping of long signals: detect, segment, solve, recombine.
+
+`declip_signal` is four stage calls: `detect_masks` builds the signal's
+clip model, `plan_segmentation` lays frames over it, `solve_batch` solves
+the frames `restrict_frames` gathers (passing clip-free ones through), and
+`overlap_add` recombines them before a last consistency projection.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +14,11 @@ import numpy as np
 
 from .feasible import DEFAULT_DELTA_DETECT, detect_masks, project_gamma
 from .frames import make_frame
-from .metrics import DeclipReport, FrameStats, sdr, sdr_masked
+from .metrics import DeclipReport, sdr, sdr_masked
 from .segmentation import overlap_add, plan_segmentation, restrict_frames
 from .solvers import SolverParams, solve_batch
 
 __all__ = ["declip_signal"]
-
-# A frame with no clipped sample is pinned to y sample by sample by the
-# consistency projection, whatever the solver does, so it is not solved.
-UNSOLVED = FrameStats(iterations=0, final_residual=0.0, final_k=0, converged=True)
 
 
 def declip_signal(
@@ -36,12 +38,11 @@ def declip_signal(
     otherwise against the observation itself, which makes the input-SDR
     field infinite. An empty `y` raises a ValueError.
 
-    The frames holding a clipped sample are solved together as one batch
-    (`solve_batch`); the others keep the observation and report 0
-    iterations. Reliable samples of the output equal the observation
-    exactly and clipped samples respect the threshold bounds: the
-    overlap-add result is passed through the global consistency projection
-    once more.
+    Every frame goes to one `solve_batch` call, which passes the frames
+    with no clipped sample through with 0 iterations. Reliable samples of
+    the output equal the observation exactly and clipped samples respect
+    the threshold bounds: the overlap-add result is passed through the
+    global consistency projection once more.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -50,17 +51,8 @@ def declip_signal(
     model = detect_masks(y, theta, delta_detect)
     plan = plan_segmentation(len(y), frame_len, hop)
     op = make_frame(frame_len, redundancy)
-    frames = restrict_frames(model, plan)
-
-    restored = frames.y.copy()
-    per_frame = [UNSOLVED] * plan.num_frames
-    clipped_frames = np.flatnonzero(~frames.mask_r.all(axis=1))
-    if clipped_frames.size:
-        restored[clipped_frames], stats = solve_batch(frames.select(clipped_frames), op, params)
-        for m, frame_stats in zip(clipped_frames, stats):
-            per_frame[m] = frame_stats
-
-    restored = project_gamma(overlap_add(restored, plan, len(y)), model)
+    frames, per_frame = solve_batch(restrict_frames(model, plan), op, params)
+    restored = project_gamma(overlap_add(frames, plan), model)
     runtime = time.perf_counter() - t0
 
     ref = y if reference is None else np.asarray(reference, dtype=float)

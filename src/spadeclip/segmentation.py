@@ -5,7 +5,8 @@ sample constraints and the tight-frame property are undisturbed; the
 window only weights the recombination, with explicit per-sample
 normalization. The window is fixed by the frame length: a half-sample-
 shifted Hann, which is strictly positive so the normalization denominator
-never vanishes.
+never vanishes. A plan holds its signal's length, so `overlap_add`
+rebuilds exactly that signal.
 """
 
 from __future__ import annotations
@@ -33,15 +34,25 @@ def shifted_hann(frame_len: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SegmentationPlan:
-    """Frame geometry for one signal length, as `plan_segmentation` builds it."""
+    """Frame geometry over a signal of `total_len` samples.
 
+    Frames of `frame_len` samples start every `hop` samples and cover the
+    signal; the last frame is filled by zero-padding the signal tail.
+    """
+
+    total_len: int
     frame_len: int
     hop: int
-    num_frames: int
 
     def __post_init__(self):
+        if self.total_len < 1:
+            raise ValueError(f"total_len must be positive, got {self.total_len}")
         if self.hop < 1 or self.hop > self.frame_len:
             raise ValueError(f"hop must be in 1..frame_len, got {self.hop}")
+
+    @property
+    def num_frames(self) -> int:
+        return max(0, -(-(self.total_len - self.frame_len) // self.hop)) + 1
 
     @property
     def padded_len(self) -> int:
@@ -60,19 +71,9 @@ class SegmentationPlan:
         return starts[:, None] + np.arange(self.frame_len)
 
 
-def plan_segmentation(
-    total_len: int, frame_len: int = 1024, hop: int = 256
-) -> SegmentationPlan:
-    """Plan frames covering a signal of `total_len` samples.
-
-    The last frame is filled by zero-padding the signal tail.
-    """
-    if total_len < 1:
-        raise ValueError(f"total_len must be positive, got {total_len}")
-    if hop < 1 or hop > frame_len:
-        raise ValueError(f"hop must be in 1..frame_len, got {hop}")
-    num_frames = max(0, -(-(total_len - frame_len) // hop)) + 1
-    return SegmentationPlan(frame_len=frame_len, hop=hop, num_frames=num_frames)
+def plan_segmentation(total_len: int, frame_len: int, hop: int) -> SegmentationPlan:
+    """Plan frames of `frame_len` samples, `hop` apart, covering `total_len` samples."""
+    return SegmentationPlan(total_len, frame_len, hop)
 
 
 def _frames_of(x: np.ndarray, plan: SegmentationPlan) -> np.ndarray:
@@ -82,9 +83,9 @@ def _frames_of(x: np.ndarray, plan: SegmentationPlan) -> np.ndarray:
     return padded[plan.sample_index]
 
 
-def overlap_add(frames: np.ndarray, plan: SegmentationPlan, original_len: int) -> np.ndarray:
-    """Recombine the plan's frames, one per row, by window weighting with
-    per-sample normalization.
+def overlap_add(frames: np.ndarray, plan: SegmentationPlan) -> np.ndarray:
+    """Recombine the plan's frames, one per row, into a signal of the plan's
+    `total_len` samples by window weighting with per-sample normalization.
 
     Each sample sums its frames' contributions in frame order.
     """
@@ -96,7 +97,7 @@ def overlap_add(frames: np.ndarray, plan: SegmentationPlan, original_len: int) -
     window = plan.window
     num = np.bincount(index, weights=(window * frames).ravel(), minlength=plan.padded_len)
     den = np.bincount(index, weights=np.tile(window, plan.num_frames), minlength=plan.padded_len)
-    return num[:original_len] / den[:original_len]
+    return num[: plan.total_len] / den[: plan.total_len]
 
 
 def restrict_frames(model: ClipModel, plan: SegmentationPlan) -> ClipModel:

@@ -23,7 +23,8 @@ Every step works on one frame or on a batch of frames stacked along a
 leading axis. The sparsity schedule does not depend on the frame, so all
 frames of a batch share k; `solve_batch` runs one loop over the batch and
 `run_solver` is its single-frame case. Both return the restored samples
-and a `FrameStats` per frame.
+and a `FrameStats` per frame. A frame with no clipped sample is a fixed
+point of every variant, so both pass it through with 0 iterations.
 """
 
 from __future__ import annotations
@@ -214,21 +215,25 @@ def solve_batch(
 ) -> tuple[np.ndarray, list[FrameStats]]:
     """Solve every frame of a batched model (arrays of shape (frames, N)).
 
-    Returns the restored frames, one per row, and each frame's stats. Each
-    frame iterates until its residual is <= epsilon (converged) or its k
-    exceeds the coefficient count `op.coeff_len` (not converged), and then
-    leaves the batch, so the other frames go on without it. Either way the
-    frame returns its last iterate, which is clipping-consistent, with that
-    iterate's residual and k: a converged frame reports the k it converged
-    at, a capped one the advanced k that passed the cap. Non-convergence is
-    not an error. A frame's result does not depend on the other frames in
-    the batch.
+    Returns the restored frames, one per row, and each frame's stats. A
+    frame with no clipped sample is returned as y with
+    `FrameStats(0, 0.0, 0, True)`. Every other frame iterates until its
+    residual is <= epsilon (converged) or its k exceeds the coefficient
+    count `op.coeff_len` (not converged), and then leaves the batch, so the
+    other frames go on without it. Either way the frame returns its last
+    iterate, which is clipping-consistent, with that iterate's residual and
+    k: a converged frame reports the k it converged at, a capped one the
+    advanced k that passed the cap. Non-convergence is not an error. A
+    frame's result does not depend on the other frames in the batch.
     """
+    restored = model.y.copy()
+    stats = [FrameStats(0, 0.0, 0, True)] * len(restored)
+    # frame index of each row still in the batch
+    rows = np.flatnonzero(~model.mask_r.all(axis=-1))
+    if not rows.size:
+        return restored, stats  # nothing to solve: no transform runs on an empty batch
+    model = model.select(rows)
     state = init_state(model, op, params)
-    num = model.y.shape[0]
-    restored = np.empty_like(model.y)
-    stats = [None] * num
-    rows = np.arange(num)  # frame index of each row still in the batch
     while rows.size:
         k_before = state.k
         state = step(state, model, op, params)

@@ -4,7 +4,8 @@ Lengths run from one sample, through less than one frame, to several
 frames off the hop grid. Frames are short (16 to 64 samples), so even a
 frame that runs to the sparsity cap solves in milliseconds. Each solved
 frame must stop by the one rule `solve_batch` states: at its first
-iterate with residual <= epsilon, or once k passes the coefficient count.
+iterate with residual <= epsilon, or once k passes the coefficient count;
+a frame with no clipped sample is passed through with 0 iterations.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spadeclip import (
+    FrameStats,
     SolverParams,
     Variant,
     declip_signal,
@@ -67,11 +69,11 @@ def test_declip_signal_invariants(case):
     for m, stats in enumerate(report.per_frame):
         clipped = not model.mask_r[m * hop : m * hop + frame_len].all()
         if not clipped:
-            assert stats.iterations == 0 and stats.converged
-            continue
-        if stats.converged:
+            assert stats == FrameStats(0, 0.0, 0, True)
+        elif stats.converged:
             assert 1 <= stats.iterations <= capped_iterations
         else:
             assert stats.iterations == capped_iterations
-        # the last iterate's k: a converged frame did not advance it
+        # the last iterate's k: a converged frame did not advance it, and a
+        # clip-free frame, passed through with 0 iterations, reports k = 0
         assert stats.final_k == s + s * ((stats.iterations - stats.converged) // r)

@@ -8,6 +8,7 @@ def test_sdr_known_values():
     assert sdr(np.array([1.0, 0.0]), np.array([0.9, 0.0])) == pytest.approx(20.0)
     x = np.array([0.3, -0.4, 0.5])
     assert np.isinf(sdr(x, x))
+    assert np.isinf(sdr(np.zeros(3), np.zeros(3)))  # a silent channel restored as silence
     assert sdr(x, np.zeros(3)) == pytest.approx(0.0)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.segmentation import (
+    SegmentationPlan,
     overlap_add,
     plan_segmentation,
     restrict_frames,
@@ -41,6 +42,24 @@ def test_plan_rejects_bad_hop():
         plan_segmentation(100, frame_len=4, hop=0)
 
 
+@pytest.mark.parametrize("total_len,frame_len,hop", [(0, 4, 2), (8, 4, 0), (8, 4, 5)])
+def test_plan_constructor_validates(total_len, frame_len, hop):
+    with pytest.raises(ValueError):
+        SegmentationPlan(total_len, frame_len, hop)
+
+
+@pytest.mark.parametrize(
+    "total_len,frame_len,hop,num_frames",
+    [(1, 4, 2, 1), (3, 4, 2, 1), (4, 4, 2, 1), (5, 4, 2, 2), (8, 4, 2, 3), (9, 4, 2, 4)],
+)
+def test_plan_frame_count_covers_the_signal(total_len, frame_len, hop, num_frames):
+    plan = plan_segmentation(total_len, frame_len, hop)
+    assert plan == SegmentationPlan(total_len, frame_len, hop)
+    assert plan.num_frames == num_frames
+    assert plan.padded_len >= total_len
+    assert (num_frames - 1) * hop < total_len  # the last frame starts inside the signal
+
+
 def test_window_strictly_positive():
     for n in (16, 256, 1024):
         assert np.all(shifted_hann(n) > 0)
@@ -52,28 +71,28 @@ def test_round_trip_identity(frame_len, hop):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(3000)
     plan = plan_segmentation(len(x), frame_len, hop)
-    out = overlap_add(frame_rows(x, plan), plan, len(x))
+    out = overlap_add(frame_rows(x, plan), plan)
     assert np.max(np.abs(out - x)) <= 1e-12
 
 
 def test_constant_in_constant_out():
     x = np.full(500, 0.37)
     plan = plan_segmentation(len(x), 128, 32)
-    out = overlap_add(frame_rows(x, plan), plan, len(x))
+    out = overlap_add(frame_rows(x, plan), plan)
     np.testing.assert_allclose(out, x, atol=1e-13)
 
 
 def test_overlap_add_rejects_empty_and_bad_frames():
     plan = plan_segmentation(8, 4, 2)
     with pytest.raises(ValueError):
-        overlap_add(np.zeros((0, 4)), plan, 8)
+        overlap_add(np.zeros((0, 4)), plan)
     with pytest.raises(ValueError):
-        overlap_add(np.zeros((plan.num_frames, 3)), plan, 8)
+        overlap_add(np.zeros((plan.num_frames, 3)), plan)
     with pytest.raises(ValueError):
-        overlap_add(np.zeros((plan.num_frames - 1, 4)), plan, 8)
+        overlap_add(np.zeros((plan.num_frames - 1, 4)), plan)
 
 
-def _overlap_add_per_frame(frames, plan, original_len):
+def _overlap_add_per_frame(frames, plan):
     """Reference: accumulate the weighted frames one at a time, in frame order."""
     window = shifted_hann(plan.frame_len)
     num = np.zeros(plan.padded_len)
@@ -82,7 +101,7 @@ def _overlap_add_per_frame(frames, plan, original_len):
         lo = m * plan.hop
         num[lo : lo + plan.frame_len] += window * frame
         den[lo : lo + plan.frame_len] += window
-    return num[:original_len] / den[:original_len]
+    return num[: plan.total_len] / den[: plan.total_len]
 
 
 @given(st.data())
@@ -93,9 +112,9 @@ def test_overlap_add_matches_per_frame_loop(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     plan = plan_segmentation(length, frame_len, hop)
     frames = np.random.default_rng(seed).standard_normal((plan.num_frames, frame_len))
-    np.testing.assert_array_equal(
-        overlap_add(frames, plan, length), _overlap_add_per_frame(frames, plan, length)
-    )
+    out = overlap_add(frames, plan)
+    assert out.shape == (length,)
+    np.testing.assert_array_equal(out, _overlap_add_per_frame(frames, plan))
 
 
 def test_restrict_model_all_reliable():

@@ -8,13 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.frames import make_frame
-from spadeclip.metrics import sdr
+from spadeclip.metrics import FrameStats, sdr
 from spadeclip.solvers import (
     SolverParams,
     Variant,
     hard_threshold,
     init_state,
     run_solver,
+    solve_batch,
     step,
 )
 
@@ -330,9 +331,19 @@ def test_run_solver_unclipped_returns_y(variant):
     model = detect_masks(y, 1.0, 0.0)
     op = make_frame(64, 2)
     x, stats = run_solver(model, op, SolverParams(variant=variant, epsilon=0.1))
-    assert stats.converged
-    np.testing.assert_allclose(x, y, atol=1e-8)
-    np.testing.assert_array_equal(x[model.mask_r], y[model.mask_r])
+    # a clip-free frame is passed through, as the pipeline passes it
+    assert stats == FrameStats(0, 0.0, 0, True)
+    np.testing.assert_array_equal(x, y)
+
+
+def test_solve_batch_transforms_nothing_without_a_clipped_sample():
+    y = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 16))
+    model = detect_masks(y, 1.0, 0.0)
+    no_frame = object()  # any analyze or synthesize call would raise
+    for variant in Variant:
+        x, stats = solve_batch(model, no_frame, SolverParams(variant=variant))
+        np.testing.assert_array_equal(x, y)
+        assert stats == [FrameStats(0, 0.0, 0, True)] * 3
 
 
 @pytest.mark.parametrize("variant", list(Variant))

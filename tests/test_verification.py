@@ -151,12 +151,6 @@ def test_unitary_equivalence_all_reliable_exact_zero():
     assert dev == 0.0
 
 
-def test_unitary_equivalence_refuses_redundant_frame():
-    model = make_test_model(n=16)
-    with pytest.raises(ValueError):
-        check_unitary_equivalence(model, SolverParams(s=2), 10, op=make_frame(16, 2))
-
-
 def test_run_all_checks_deterministic_given_seed():
     a = run_all_checks(OracleConfig(n_trials=20, seed=7))
     b = run_all_checks(OracleConfig(n_trials=20, seed=7))
