@@ -8,9 +8,9 @@ clipping-consistent signals.
 
 from .feasible import ClipModel, detect_masks, hard_clip, project_gamma
 from .frames import FrameOperator, make_frame
-from .metrics import DeclipReport, FrameStats, sdr, sdr_masked
+from .metrics import DeclipReport, FrameStats, sdr
 from .pipeline import declip_signal
-from .segmentation import SegmentationPlan, overlap_add, plan_segmentation, restrict_frames
+from .segmentation import SegmentationPlan, overlap_add, restrict_frames
 from .solvers import (
     SolverParams,
     SolverState,
@@ -35,12 +35,10 @@ __all__ = [
     "hard_threshold",
     "make_frame",
     "overlap_add",
-    "plan_segmentation",
     "project_gamma",
     "restrict_frames",
     "run_solver",
     "sdr",
-    "sdr_masked",
     "solve_batch",
 ]
 

@@ -33,9 +33,6 @@ CSV_FIELDS = [
     "runtime_s",
 ]
 
-def _fmt(value: float) -> str:
-    return "inf" if np.isinf(value) else f"{value:.4f}"
-
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-len", type=int, default=1024)
@@ -52,12 +49,27 @@ def _csv_row(variant: str, theta, redundancy, report) -> dict:
         "variant": variant,
         "theta": theta,
         "redundancy": redundancy,
-        "sdr_in_db": _fmt(report.sdr_clipped_input),
-        "sdr_out_db": _fmt(report.sdr_restored),
-        "sdr_clipped_db": _fmt(report.sdr_on_clipped_samples),
+        "sdr_in_db": f"{report.sdr_clipped_input:.4f}",
+        "sdr_out_db": f"{report.sdr_restored:.4f}",
+        "sdr_clipped_db": f"{report.sdr_on_clipped_samples:.4f}",
         "mean_iters": f"{report.mean_iterations:.2f}",
         "runtime_s": f"{report.runtime:.3f}",
     }
+
+
+def _declip(args, variant, y, theta, redundancy, reference=None):
+    """`declip_signal` with the solver and framing settings of args."""
+    params = SolverParams(s=args.s, r=args.r, epsilon=args.epsilon, variant=Variant(variant))
+    return declip_signal(
+        y,
+        theta,
+        params,
+        frame_len=args.frame_len,
+        hop=args.hop,
+        redundancy=redundancy,
+        delta_detect=args.delta_detect,
+        reference=reference,
+    )
 
 
 def _write_csv(fh, rows) -> None:
@@ -78,23 +90,15 @@ def cmd_clip(args) -> int:
 def cmd_declip(args) -> int:
     rate, y = read_wav(args.input)
     channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
-    # the peak over all channels; detection already admits samples within
-    # delta of theta as clipped
-    theta = float(np.max(np.abs(y))) if args.theta == "auto" else float(args.theta)
-    params = SolverParams(
-        s=args.s, r=args.r, epsilon=args.epsilon, variant=Variant(args.variant)
-    )
+    if args.theta == "auto":
+        # the peak over all channels; detection already admits samples within
+        # delta of theta as clipped. A silent file has nothing clipped: inf.
+        theta = float(np.max(np.abs(y))) or np.inf
+    else:
+        theta = float(args.theta)
     restored, reports = [], []
     for channel in channels:
-        out, report = declip_signal(
-            channel,
-            theta,
-            params,
-            frame_len=args.frame_len,
-            hop=args.hop,
-            redundancy=args.redundancy,
-            delta_detect=args.delta_detect,
-        )
+        out, report = _declip(args, args.variant, channel, theta, args.redundancy)
         restored.append(out)
         reports.append(report)
     write_wav(args.output, rate, np.stack(restored, axis=-1).reshape(y.shape))
@@ -121,21 +125,11 @@ def cmd_bench(args) -> int:
     redundancies = [float(r) for r in args.redundancies.split(",")]
     rows = []
     for variant in variants:
-        params = SolverParams(s=args.s, r=args.r, epsilon=args.epsilon, variant=variant)
         for theta_rel in thetas:
             theta = theta_rel * peak
             y = hard_clip(x, theta)
             for red in redundancies:
-                _, report = declip_signal(
-                    y,
-                    theta,
-                    params,
-                    frame_len=args.frame_len,
-                    hop=args.hop,
-                    redundancy=red,
-                    delta_detect=args.delta_detect,
-                    reference=x,
-                )
+                _, report = _declip(args, variant, y, theta, red, reference=x)
                 rows.append(_csv_row(variant.value, theta_rel, red, report))
     # every cell is computed before the output is opened: a failing bench writes nothing
     if args.output:

@@ -47,9 +47,6 @@ class ClipModel:
         if not np.all(self.lo <= self.hi):
             raise ValueError("lo must not exceed hi")
 
-    def __len__(self) -> int:
-        return len(self.y)
-
     @property
     def mask_r(self) -> np.ndarray:
         return self.lo == self.hi

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FrameStats", "DeclipReport", "sdr", "sdr_masked"]
+__all__ = ["FrameStats", "DeclipReport", "sdr"]
 
 
 def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
@@ -29,18 +29,6 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
     if ref_norm == 0:
         raise ValueError("reference signal is all-zero")
     return float(20 * np.log10(ref_norm / err_norm))
-
-
-def sdr_masked(
-    reference: np.ndarray, estimate: np.ndarray, indices: np.ndarray
-) -> float:
-    """SDR restricted to the given sample indices (boolean mask or index array)."""
-    indices = np.asarray(indices)
-    reference = np.asarray(reference, dtype=float)[indices]
-    estimate = np.asarray(estimate, dtype=float)[indices]
-    if reference.size == 0:
-        raise ValueError("index set is empty")
-    return sdr(reference, estimate)
 
 
 @dataclass(frozen=True)

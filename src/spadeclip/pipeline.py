@@ -1,7 +1,7 @@
 """End-to-end declipping of long signals: detect, segment, solve, recombine.
 
 `declip_signal` is four stage calls: `detect_masks` builds the signal's
-clip model, `plan_segmentation` lays frames over it, `solve_batch` solves
+clip model, a `SegmentationPlan` lays frames over it, `solve_batch` solves
 the frames `restrict_frames` gathers (passing clip-free ones through), and
 `overlap_add` recombines them before a last consistency projection.
 """
@@ -14,8 +14,8 @@ import numpy as np
 
 from .feasible import DEFAULT_DELTA_DETECT, detect_masks, project_gamma
 from .frames import make_frame
-from .metrics import DeclipReport, sdr, sdr_masked
-from .segmentation import overlap_add, plan_segmentation, restrict_frames
+from .metrics import DeclipReport, sdr
+from .segmentation import SegmentationPlan, overlap_add, restrict_frames
 from .solvers import SolverParams, solve_batch
 
 __all__ = ["declip_signal"]
@@ -49,7 +49,7 @@ def declip_signal(
         raise ValueError("signal is empty")
     t0 = time.perf_counter()
     model = detect_masks(y, theta, delta_detect)
-    plan = plan_segmentation(len(y), frame_len, hop)
+    plan = SegmentationPlan(len(y), frame_len, hop)
     op = make_frame(frame_len, redundancy)
     frames, per_frame = solve_batch(restrict_frames(model, plan), op, params)
     restored = project_gamma(overlap_add(frames, plan), model)
@@ -61,7 +61,7 @@ def declip_signal(
         sdr_clipped_input=sdr(ref, y),
         sdr_restored=sdr(ref, restored),
         sdr_on_clipped_samples=(
-            sdr_masked(ref, restored, clipped) if np.any(clipped) else np.inf
+            sdr(ref[clipped], restored[clipped]) if np.any(clipped) else np.inf
         ),
         per_frame=per_frame,
         runtime=runtime,

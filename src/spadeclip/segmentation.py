@@ -5,8 +5,9 @@ sample constraints and the tight-frame property are undisturbed; the
 window only weights the recombination, with explicit per-sample
 normalization. The window is fixed by the frame length: a half-sample-
 shifted Hann, which is strictly positive so the normalization denominator
-never vanishes. A plan holds its signal's length, so `overlap_add`
-rebuilds exactly that signal.
+never vanishes. A plan is built with its constructor,
+`SegmentationPlan(total_len, frame_len, hop)`, and holds its signal's
+length, so `overlap_add` rebuilds exactly that signal.
 """
 
 from __future__ import annotations
@@ -19,17 +20,9 @@ from .feasible import ClipModel
 
 __all__ = [
     "SegmentationPlan",
-    "shifted_hann",
-    "plan_segmentation",
     "overlap_add",
     "restrict_frames",
 ]
-
-
-def shifted_hann(frame_len: int) -> np.ndarray:
-    """Hann-shaped window sampled at half-integer points; strictly positive."""
-    n = np.arange(frame_len)
-    return np.sin(np.pi * (n + 0.5) / frame_len) ** 2
 
 
 @dataclass(frozen=True)
@@ -60,8 +53,10 @@ class SegmentationPlan:
 
     @property
     def window(self) -> np.ndarray:
-        """Synthesis weights of one frame."""
-        return shifted_hann(self.frame_len)
+        """Synthesis weights of one frame: a Hann window sampled at
+        half-integer points, so strictly positive."""
+        n = np.arange(self.frame_len)
+        return np.sin(np.pi * (n + 0.5) / self.frame_len) ** 2
 
     @property
     def sample_index(self) -> np.ndarray:
@@ -69,11 +64,6 @@ class SegmentationPlan:
         row m holds the samples of frame m."""
         starts = np.arange(self.num_frames) * self.hop
         return starts[:, None] + np.arange(self.frame_len)
-
-
-def plan_segmentation(total_len: int, frame_len: int, hop: int) -> SegmentationPlan:
-    """Plan frames of `frame_len` samples, `hop` apart, covering `total_len` samples."""
-    return SegmentationPlan(total_len, frame_len, hop)
 
 
 def _frames_of(x: np.ndarray, plan: SegmentationPlan) -> np.ndarray:

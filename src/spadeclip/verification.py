@@ -136,7 +136,7 @@ def restrict_model(
         raise ValueError(f"frame index {frame_index} out of range")
     n = plan.frame_len
     start = frame_index * plan.hop
-    avail = max(0, min(len(model), start + n) - start)
+    avail = max(0, min(len(model.y), start + n) - start)
     y, lo, hi = np.zeros(n), np.zeros(n), np.zeros(n)
     y[:avail] = model.y[start : start + avail]
     lo[:avail] = model.lo[start : start + avail]
@@ -276,7 +276,7 @@ def check_unitary_equivalence(
     with a shared sparsity schedule and compares the time-domain estimates
     per iteration.
     """
-    op = make_frame(len(model), 1)
+    op = make_frame(len(model.y), 1)
     # the termination test must never fire, or the variants' schedules desync
     lockstep = replace(params, epsilon=0.0)
     states = {

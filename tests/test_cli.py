@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -16,8 +17,9 @@ import spadeclip
 from spadeclip.cli import CSV_FIELDS, main
 from spadeclip.feasible import detect_masks, project_gamma
 from spadeclip.frames import make_frame
+from spadeclip.metrics import sdr
 from spadeclip.pipeline import declip_signal
-from spadeclip.segmentation import overlap_add, plan_segmentation
+from spadeclip.segmentation import SegmentationPlan, overlap_add
 from spadeclip.solvers import SolverParams, Variant, run_solver
 from spadeclip.verification import restrict_model
 from spadeclip.wavio import read_wav, write_wav
@@ -472,6 +474,33 @@ def test_declip_csv_keeps_theta_exact(tmp_path):
     assert float(row["theta"]) == 9830 / 32768
 
 
+@pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+def test_declip_theta_auto_on_silence(tmp_path, channels):
+    # a silent file has no clipped sample: auto takes theta = inf, as --theta inf does
+    shape = (2000,) if channels == 1 else (2000, channels)
+    src = tmp_path / "silence.wav"
+    wavfile.write(src, RATE, np.zeros(shape, dtype=np.int16))
+    rows = {}
+    for theta in ("auto", "inf"):
+        out, report = tmp_path / f"out-{theta}.wav", tmp_path / f"report-{theta}.csv"
+        code, text = run_cli(
+            "declip", "--input", src, "--output", out, "--theta", theta, "--csv", report
+        )
+        assert code == 0
+        _, restored = read_wav(str(out))
+        assert restored.shape == shape and np.all(restored == 0)
+        assert text.count("clipped samples: 0 of 2000") == channels
+        with open(report) as fh:
+            rows[theta] = list(csv.DictReader(fh))
+        assert len(rows[theta]) == channels
+        for row in rows[theta]:
+            for field in ("theta", "sdr_in_db", "sdr_out_db", "sdr_clipped_db"):
+                assert row[field] == "inf"
+            assert row["mean_iters"] == "0.00"
+            del row["runtime_s"]
+    assert rows["auto"] == rows["inf"]
+
+
 def test_clip_clips_every_channel(tmp_path):
     x = np.stack([sparse_signal(512), -0.5 * sparse_signal(512)], axis=1).astype(np.float32)
     src = tmp_path / "stereo.wav"
@@ -511,6 +540,16 @@ def test_library_and_verify_load_no_scipy():
     assert mods == []
 
 
+@pytest.mark.parametrize(
+    "module",
+    ["spadeclip", "spadeclip.segmentation", "spadeclip.metrics", "spadeclip.feasible",
+     "spadeclip.solvers", "spadeclip.verification"],
+)  # fmt: skip
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if getattr(mod, name, None) is None] == []
+
+
 def test_pipeline_reliable_passthrough_bitexact():
     x = sparse_signal(1024, amp=1.0)
     theta = 0.4
@@ -524,6 +563,17 @@ def test_pipeline_reliable_passthrough_bitexact():
     assert np.all(restored[model.mask_h] >= theta)
     assert np.all(restored[model.mask_l] <= -theta)
     assert report.sdr_restored > report.sdr_clipped_input
+
+
+def test_declip_signal_sdr_fields_against_reference():
+    x = sparse_signal(1024)
+    y = np.clip(x, -0.4, 0.4)
+    restored, report = declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=x)
+    clipped = ~detect_masks(y, 0.4).mask_r
+    assert report.sdr_on_clipped_samples == sdr(x[clipped], restored[clipped])
+    assert np.isfinite(report.sdr_on_clipped_samples)
+    assert report.sdr_restored == sdr(x, restored)
+    assert report.sdr_clipped_input == sdr(x, y)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -561,7 +611,7 @@ def test_pipeline_batch_equals_frames_solved_alone():
     x = sparse_signal(1024)
     x[300:700] *= 0.3  # a quiet stretch: some frames hold no clipped sample
     y = np.clip(x, -0.4, 0.4)
-    plan = plan_segmentation(len(y), 256, 64)
+    plan = SegmentationPlan(len(y), 256, 64)
     op = make_frame(256, 2)
     model = detect_masks(y, 0.4)
     for variant in Variant:

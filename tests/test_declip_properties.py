@@ -21,7 +21,7 @@ from spadeclip import (
     hard_clip,
     make_frame,
 )
-from spadeclip.segmentation import plan_segmentation
+from spadeclip.segmentation import SegmentationPlan
 
 
 @st.composite
@@ -60,7 +60,7 @@ def test_declip_signal_invariants(case):
     assert np.all(restored[model.mask_h] >= theta)
     assert np.all(restored[model.mask_l] <= -theta)
 
-    num_frames = plan_segmentation(len(y), frame_len, hop).num_frames
+    num_frames = SegmentationPlan(len(y), frame_len, hop).num_frames
     assert len(report.per_frame) == num_frames
     s, r = params.s, params.r
     # k starts at s and grows by s every r iterations; a frame is capped at

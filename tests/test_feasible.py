@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from spadeclip.feasible import ClipModel, detect_masks, hard_clip, project_gamma
 from spadeclip.frames import make_frame
-from spadeclip.segmentation import plan_segmentation, restrict_frames
+from spadeclip.segmentation import SegmentationPlan, restrict_frames
 from spadeclip.verification import project_gamma_coef
 
 
@@ -130,7 +130,7 @@ def test_derived_masks_partition_and_match_thresholds(case):
 )
 def test_restrict_frames_padding_is_reliable_zero(y, frame_len, hop):
     hop = min(hop, frame_len)
-    plan = plan_segmentation(len(y), frame_len, hop)
+    plan = SegmentationPlan(len(y), frame_len, hop)
     frames = restrict_frames(detect_masks(y, 0.5), plan)
     pos = np.arange(plan.num_frames)[:, None] * hop + np.arange(frame_len)
     pad = pos >= len(y)

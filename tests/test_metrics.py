@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spadeclip.metrics import DeclipReport, FrameStats, sdr, sdr_masked
+from spadeclip.metrics import DeclipReport, FrameStats, sdr
 
 
 def test_sdr_known_values():
@@ -23,23 +23,6 @@ def test_sdr_no_hidden_alignment():
     val = sdr(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert val == pytest.approx(20 * np.log10(1 / np.sqrt(2)), abs=1e-6)
     assert val != pytest.approx(20.0, abs=1.0)
-
-
-def test_sdr_masked():
-    ref = np.array([1.0, 2.0, 3.0])
-    est = np.array([0.9, 2.0, 2.5])
-    assert sdr_masked(ref, est, np.array([True, True, True])) == pytest.approx(
-        sdr(ref, est)
-    )
-    assert np.isinf(sdr_masked(ref, est, np.array([False, True, False])))
-    assert sdr_masked(
-        np.array([1.0, 9.0]), np.array([0.5, 9.0]), np.array([0])
-    ) == pytest.approx(20 * np.log10(2), abs=1e-4)
-
-
-def test_sdr_masked_empty_indices():
-    with pytest.raises(ValueError):
-        sdr_masked(np.ones(3), np.ones(3), np.zeros(3, dtype=bool))
 
 
 def test_report_table_and_mean_iterations():

@@ -7,9 +7,7 @@ from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.segmentation import (
     SegmentationPlan,
     overlap_add,
-    plan_segmentation,
     restrict_frames,
-    shifted_hann,
 )
 from spadeclip.verification import restrict_model
 
@@ -21,14 +19,14 @@ def frame_rows(x, plan):
 
 
 def test_split_disjoint_frames():
-    plan = plan_segmentation(8, frame_len=4, hop=4)
+    plan = SegmentationPlan(8, frame_len=4, hop=4)
     np.testing.assert_array_equal(plan.sample_index, [[0, 1, 2, 3], [4, 5, 6, 7]])
     frames = frame_rows(np.arange(8.0), plan)
     np.testing.assert_array_equal(frames, [[0, 1, 2, 3], [4, 5, 6, 7]])
 
 
 def test_split_half_overlap_with_tail_padding():
-    plan = plan_segmentation(9, frame_len=4, hop=2)
+    plan = SegmentationPlan(9, frame_len=4, hop=2)
     frames = frame_rows(np.arange(1.0, 10.0), plan)
     assert frames.shape == (4, 4)
     np.testing.assert_array_equal(frames[2], [5, 6, 7, 8])
@@ -37,9 +35,9 @@ def test_split_half_overlap_with_tail_padding():
 
 def test_plan_rejects_bad_hop():
     with pytest.raises(ValueError):
-        plan_segmentation(100, frame_len=4, hop=5)
+        SegmentationPlan(100, frame_len=4, hop=5)
     with pytest.raises(ValueError):
-        plan_segmentation(100, frame_len=4, hop=0)
+        SegmentationPlan(100, frame_len=4, hop=0)
 
 
 @pytest.mark.parametrize("total_len,frame_len,hop", [(0, 4, 2), (8, 4, 0), (8, 4, 5)])
@@ -53,8 +51,7 @@ def test_plan_constructor_validates(total_len, frame_len, hop):
     [(1, 4, 2, 1), (3, 4, 2, 1), (4, 4, 2, 1), (5, 4, 2, 2), (8, 4, 2, 3), (9, 4, 2, 4)],
 )
 def test_plan_frame_count_covers_the_signal(total_len, frame_len, hop, num_frames):
-    plan = plan_segmentation(total_len, frame_len, hop)
-    assert plan == SegmentationPlan(total_len, frame_len, hop)
+    plan = SegmentationPlan(total_len, frame_len, hop)
     assert plan.num_frames == num_frames
     assert plan.padded_len >= total_len
     assert (num_frames - 1) * hop < total_len  # the last frame starts inside the signal
@@ -62,28 +59,30 @@ def test_plan_frame_count_covers_the_signal(total_len, frame_len, hop, num_frame
 
 def test_window_strictly_positive():
     for n in (16, 256, 1024):
-        assert np.all(shifted_hann(n) > 0)
-        np.testing.assert_array_equal(plan_segmentation(4 * n, n, n // 4).window, shifted_hann(n))
+        window = SegmentationPlan(4 * n, n, n // 4).window
+        assert np.all(window > 0)
+        # the Hann window sampled half a sample off the grid
+        np.testing.assert_array_equal(window, np.sin(np.pi * (np.arange(n) + 0.5) / n) ** 2)
 
 
 @pytest.mark.parametrize("frame_len,hop", [(256, 128), (256, 64), (1024, 256)])
 def test_round_trip_identity(frame_len, hop):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(3000)
-    plan = plan_segmentation(len(x), frame_len, hop)
+    plan = SegmentationPlan(len(x), frame_len, hop)
     out = overlap_add(frame_rows(x, plan), plan)
     assert np.max(np.abs(out - x)) <= 1e-12
 
 
 def test_constant_in_constant_out():
     x = np.full(500, 0.37)
-    plan = plan_segmentation(len(x), 128, 32)
+    plan = SegmentationPlan(len(x), 128, 32)
     out = overlap_add(frame_rows(x, plan), plan)
     np.testing.assert_allclose(out, x, atol=1e-13)
 
 
 def test_overlap_add_rejects_empty_and_bad_frames():
-    plan = plan_segmentation(8, 4, 2)
+    plan = SegmentationPlan(8, 4, 2)
     with pytest.raises(ValueError):
         overlap_add(np.zeros((0, 4)), plan)
     with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ def test_overlap_add_rejects_empty_and_bad_frames():
 
 def _overlap_add_per_frame(frames, plan):
     """Reference: accumulate the weighted frames one at a time, in frame order."""
-    window = shifted_hann(plan.frame_len)
+    window = plan.window
     num = np.zeros(plan.padded_len)
     den = np.zeros(plan.padded_len)
     for m, frame in enumerate(frames):
@@ -110,7 +109,7 @@ def test_overlap_add_matches_per_frame_loop(data):
     frame_len = data.draw(st.integers(1, 64))
     hop = data.draw(st.integers(1, frame_len))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    plan = plan_segmentation(length, frame_len, hop)
+    plan = SegmentationPlan(length, frame_len, hop)
     frames = np.random.default_rng(seed).standard_normal((plan.num_frames, frame_len))
     out = overlap_add(frames, plan)
     assert out.shape == (length,)
@@ -120,7 +119,7 @@ def test_overlap_add_matches_per_frame_loop(data):
 def test_restrict_model_all_reliable():
     y = np.full(20, 0.1)
     model = detect_masks(y, 1.0, 0.0)
-    plan = plan_segmentation(20, 8, 4)
+    plan = SegmentationPlan(20, 8, 4)
     for m in range(plan.num_frames):
         sub = restrict_model(model, m, plan)
         assert np.all(sub.mask_r)
@@ -130,7 +129,7 @@ def test_restrict_model_clipped_run_spans_boundary():
     y = np.zeros(16)
     y[6:10] = 1.0  # clipped-high run crossing the frame-1/frame-2 boundary
     model = detect_masks(y, 1.0, 0.0)
-    plan = plan_segmentation(16, 8, 4)
+    plan = SegmentationPlan(16, 8, 4)
     sub0 = restrict_model(model, 0, plan)
     sub1 = restrict_model(model, 1, plan)
     np.testing.assert_array_equal(np.flatnonzero(sub0.mask_h), [6, 7])
@@ -140,7 +139,7 @@ def test_restrict_model_clipped_run_spans_boundary():
 def test_restrict_model_padding_reliable_zero():
     y = np.full(10, 1.0)
     model = detect_masks(y, 1.0, 0.0)
-    plan = plan_segmentation(10, 8, 4)
+    plan = SegmentationPlan(10, 8, 4)
     last = restrict_model(model, plan.num_frames - 1, plan)
     pad = np.arange(8) >= 10 - (plan.num_frames - 1) * plan.hop
     assert np.all(last.mask_r[pad])
@@ -149,7 +148,7 @@ def test_restrict_model_padding_reliable_zero():
 
 def test_restrict_model_out_of_range():
     model = detect_masks(np.zeros(10) + 0.1, 1.0, 0.0)
-    plan = plan_segmentation(10, 8, 4)
+    plan = SegmentationPlan(10, 8, 4)
     with pytest.raises(ValueError):
         restrict_model(model, plan.num_frames, plan)
 
@@ -158,7 +157,7 @@ def test_mask_classification_consistent_across_frames():
     rng = np.random.default_rng(1)
     y = hard_clip(rng.standard_normal(64), 0.8)
     model = detect_masks(y, 0.8)
-    plan = plan_segmentation(64, 16, 4)
+    plan = SegmentationPlan(64, 16, 4)
     for m in range(plan.num_frames):
         sub = restrict_model(model, m, plan)
         lo = m * plan.hop
@@ -173,7 +172,7 @@ def test_restrict_frames_stacks_restrict_model():
     rng = np.random.default_rng(2)
     y = hard_clip(rng.standard_normal(61), 0.8)  # off the hop grid: padded tail
     model = detect_masks(y, 0.8)
-    plan = plan_segmentation(61, 16, 6)
+    plan = SegmentationPlan(61, 16, 6)
     frames = restrict_frames(model, plan)
     assert frames.y.shape == (plan.num_frames, 16)
     for m in range(plan.num_frames):
