@@ -120,6 +120,8 @@ def cmd_bench(args) -> int:
     if x.ndim > 1:
         raise ValueError(f"bench needs a mono reference; {args.input} has {x.shape[1]} channels")
     peak = float(np.max(np.abs(x)))
+    if peak == 0:  # every theta, a fraction of the peak, would be 0
+        raise ValueError(f"{args.input}: reference is silent (all samples are zero)")
     variants = [Variant(v) for v in args.variants.split(",")]
     thetas = [float(t) for t in args.thetas.split(",")]
     redundancies = [float(r) for r in args.redundancies.split(",")]

@@ -31,7 +31,8 @@ class FrameOperator:
     `dft_len` is the DFT length P; a coefficient vector holds the
     `coeff_len` = P//2 + 1 bins from DC to P/2, and keeping k of them keeps
     k conjugate pairs (DC and Nyquist count one each). The frame is unitary
-    when `dft_len == signal_len`, redundant otherwise.
+    when `dft_len == signal_len`, redundant otherwise. Raises ValueError if
+    signal_len < 1 or dft_len < signal_len.
 
     Immutable; `analyze` and `synthesize` are pure and act on one frame or
     on a batch of frames stacked along a leading axis.
@@ -46,6 +47,12 @@ class FrameOperator:
     _inverse_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.signal_len < 1:
+            raise ValueError(f"signal_len must be positive, got {self.signal_len}")
+        if self.dft_len < self.signal_len:
+            raise ValueError(
+                f"dft_len must be >= signal_len={self.signal_len}, got {self.dft_len}"
+            )
         p = self.dft_len
         w = np.full(p // 2 + 1, math.sqrt(2 / p))
         w[0] = math.sqrt(1 / p)
@@ -98,11 +105,9 @@ def make_frame(signal_len: int, redundancy: float | Fraction = 1) -> FrameOperat
     """Build a tight DFT frame of DFT length P = redundancy * signal_len.
 
     Redundancy 1 yields a unitary frame; redundancy > 1 a redundant one.
-    Raises ValueError if signal_len < 1, redundancy is not finite or < 1,
-    or the implied DFT length is not an integer.
+    Raises ValueError if redundancy is not finite or < 1, or the implied
+    DFT length is not an integer; the constructor checks signal_len.
     """
-    if signal_len < 1:
-        raise ValueError(f"signal_len must be positive, got {signal_len}")
     if not 1 <= redundancy < math.inf:  # also rejects NaN
         raise ValueError(f"redundancy must be finite and >= 1, got {redundancy}")
     p_exact = Fraction(redundancy).limit_denominator(10**9) * signal_len

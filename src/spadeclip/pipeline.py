@@ -60,9 +60,8 @@ def declip_signal(
     report = DeclipReport(
         sdr_clipped_input=sdr(ref, y),
         sdr_restored=sdr(ref, restored),
-        sdr_on_clipped_samples=(
-            sdr(ref[clipped], restored[clipped]) if np.any(clipped) else np.inf
-        ),
+        # inf when nothing is clipped: equal empty arrays
+        sdr_on_clipped_samples=sdr(ref[clipped], restored[clipped]),
         per_frame=per_frame,
         runtime=runtime,
         num_clipped=model.num_clipped,

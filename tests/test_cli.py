@@ -521,6 +521,17 @@ def test_bench_rejects_multichannel_reference(tmp_path, capsys):
     assert err.startswith("error:") and "2 channels" in err
 
 
+def test_bench_names_a_silent_reference(tmp_path, capsys):
+    src = tmp_path / "silence.wav"
+    wavfile.write(src, RATE, np.zeros(2000, dtype=np.int16))
+    out = tmp_path / "b.csv"
+    code, text = run_cli("bench", "--input", src, "--output", out, "--thetas", "0.5")
+    assert code == 2 and text == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {src}: reference is silent (all samples are zero)"
+    assert not out.exists()
+
+
 def test_library_and_verify_load_no_scipy():
     # only reading or writing a WAV file imports scipy
     script = (

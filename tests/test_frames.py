@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spadeclip.frames import make_frame
+from spadeclip.frames import FrameOperator, make_frame
 
 
 def naive_analysis_matrix(n, p):
@@ -45,6 +45,15 @@ def test_make_frame_redundant_parseval_matrix_oracle(redundancy, p):
 def test_make_frame_rejects_bad_args(signal_len, redundancy):
     with pytest.raises(ValueError, match="signal_len|redundancy"):
         make_frame(signal_len, redundancy)
+
+
+@pytest.mark.parametrize(
+    "signal_len,dft_len", [(8, 4), (0, 0), (-2, 4), (8, 7)]
+)
+def test_frame_operator_rejects_bad_geometry(signal_len, dft_len):
+    # fewer DFT bins than samples would make synthesize(analyze(x)) drop samples
+    with pytest.raises(ValueError, match="signal_len"):
+        FrameOperator(signal_len, dft_len)
 
 
 def test_analyze_known_values():

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from spadeclip import SolverParams, Variant, declip_signal, make_frame, pipeline
-from spadeclip.verification import dense_frame
+from spadeclip.verification import DenseFrameOperator
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed.npz"
 FRAME_LEN = 128
@@ -136,7 +136,7 @@ def test_matches_golden(golden, variant, redundancy, r):
 @pytest.mark.parametrize("variant,redundancy,r", CONFIGS)
 def test_dense_operator_reproduces_golden(golden, monkeypatch, variant, redundancy, r):
     monkeypatch.setattr(
-        pipeline, "make_frame", lambda n, red: dense_frame(make_frame(n, red))
+        pipeline, "make_frame", lambda n, red: DenseFrameOperator(n, make_frame(n, red).dft_len)
     )
     _assert_matches_golden(golden, variant, redundancy, r)
 

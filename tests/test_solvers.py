@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spadeclip.feasible import detect_masks, hard_clip
+from spadeclip.feasible import ClipModel, detect_masks, hard_clip
 from spadeclip.frames import make_frame
 from spadeclip.metrics import FrameStats, sdr
 from spadeclip.solvers import (
@@ -18,17 +18,7 @@ from spadeclip.solvers import (
     solve_batch,
     step,
 )
-
-
-def sparse_clip_instance(n=64, clip_frac=0.5, seed=0):
-    t = np.arange(n)
-    x = (
-        np.sin(2 * np.pi * 3 * t / n + 0.3)
-        + 0.7 * np.sin(2 * np.pi * 7 * t / n + 1.1)
-        + 0.4 * np.sin(2 * np.pi * 13 * t / n + 2.0)
-    )
-    theta = clip_frac * np.max(np.abs(x))
-    return x, detect_masks(hard_clip(x, theta), theta, delta_detect=0.0)
+from spadeclip.verification import DenseFrameOperator, make_test_model, project_gamma_coef
 
 
 # ---------------------------------------------------------------- hard_threshold
@@ -122,7 +112,7 @@ def test_aspade_all_reliable_pins_estimate():
 
 
 def test_aspade_full_sparsity_converges_first_iteration():
-    _, model = sparse_clip_instance()
+    model = make_test_model()
     op = make_frame(64, 2)
     params = SolverParams(s=op.coeff_len, variant=Variant.ASPADE)
     state = step(init_state(model, op, params), model, op, params)
@@ -138,19 +128,14 @@ def test_aspade_first_step_matches_dense_matrix_reference():
     theta = 0.5 * np.max(np.abs(x))
     model = detect_masks(hard_clip(x, theta), theta, delta_detect=0.0)
     op = make_frame(16, 2)
-    p = op.dft_len
-    bins = np.arange(p // 2 + 1)
-    weights = np.where((bins == 0) | (2 * bins == p), 1.0, np.sqrt(2))
-    a_mat = weights[:, None] * np.exp(
-        -2j * np.pi * np.outer(bins, np.arange(16)) / p
-    ) / np.sqrt(p)
+    a_mat = DenseFrameOperator(16, 32).analysis
 
     params = SolverParams(s=3, variant=Variant.ASPADE)
     state = step(init_state(model, op, params), model, op, params)
 
     # matrix-form reference for one step from u=0, x_hat=y
     c = a_mat @ model.y
-    z_ref = np.zeros(len(bins), dtype=complex)
+    z_ref = np.zeros(op.coeff_len, dtype=complex)
     keep = np.argsort(-np.abs(c), kind="stable")[:3]
     z_ref[keep] = c[keep]
     v = np.real(a_mat.conj().T @ z_ref)
@@ -173,19 +158,14 @@ def test_sspade_orig_first_step_matches_dense_matrix_reference():
     theta = 0.5 * np.max(np.abs(x))
     model = detect_masks(hard_clip(x, theta), theta, delta_detect=0.0)
     op = make_frame(16, 2)
-    p = op.dft_len
-    bins = np.arange(p // 2 + 1)
-    weights = np.where((bins == 0) | (2 * bins == p), 1.0, np.sqrt(2))
-    a_mat = weights[:, None] * np.exp(
-        -2j * np.pi * np.outer(bins, np.arange(16)) / p
-    ) / np.sqrt(p)
+    a_mat = DenseFrameOperator(16, 32).analysis
 
     params = SolverParams(s=3, variant=Variant.SSPADE_ORIG)
     state = step(init_state(model, op, params), model, op, params)
 
     # matrix-form reference for one step from u=0, coefficients A y
     w = a_mat @ model.y
-    z_ref = np.zeros(len(bins), dtype=complex)
+    z_ref = np.zeros(op.coeff_len, dtype=complex)
     keep = np.argsort(-np.abs(w), kind="stable")[:3]
     z_ref[keep] = w[keep]
     c = z_ref  # z_bar - u with u = 0
@@ -203,6 +183,26 @@ def test_sspade_orig_first_step_matches_dense_matrix_reference():
     assert np.max(np.abs(u_ref - (a_mat @ x_ref - z_ref))) > 1e-3
 
 
+@pytest.mark.parametrize("redundancy", [1.5, 2])
+@pytest.mark.parametrize("batch", [False, True], ids=["frame", "batch"])
+def test_sspade_orig_update_is_the_coefficient_projection(redundancy, batch):
+    # the solver computes S-SPADE's w inline; the reference projects z_bar - u
+    models = [make_test_model(), make_test_model(harmonics=(2, 5, 11), phases=(1.0, 0.4, 2.7))]
+    model = (
+        ClipModel(*(np.stack([getattr(m, f) for m in models]) for f in ("y", "lo", "hi")))
+        if batch
+        else models[0]
+    )
+    op = make_frame(64, redundancy)
+    params = SolverParams(s=1, r=1, epsilon=0.0, variant=Variant.SSPADE_ORIG)
+    state = init_state(model, op, params)
+    for _ in range(60):
+        u_before = state.u
+        state = step(state, model, op, params)
+        expected = project_gamma_coef(state.z_bar - u_before, model, op)
+        np.testing.assert_allclose(state.w, expected, rtol=0, atol=1e-9)
+
+
 def test_sspade_orig_all_reliable_unitary_returns_y():
     rng = np.random.default_rng(2)
     y = rng.standard_normal(32)
@@ -214,7 +214,7 @@ def test_sspade_orig_all_reliable_unitary_returns_y():
 
 
 def test_sspade_orig_full_sparsity_converges_first_iteration():
-    _, model = sparse_clip_instance()
+    model = make_test_model()
     op = make_frame(64, 2)
     params = SolverParams(s=op.coeff_len, variant=Variant.SSPADE_ORIG)
     state = step(init_state(model, op, params), model, op, params)
@@ -236,7 +236,7 @@ def test_sspade_dr_all_reliable_pins_estimate():
 
 
 def test_sspade_dr_full_sparsity_unitary_converges_first_iteration():
-    _, model = sparse_clip_instance()
+    model = make_test_model()
     op = make_frame(64, 1)
     params = SolverParams(s=64, variant=Variant.SSPADE_DR)
     state = step(init_state(model, op, params), model, op, params)
@@ -246,7 +246,7 @@ def test_sspade_dr_full_sparsity_unitary_converges_first_iteration():
 
 def test_sspade_dr_approximation_bound_every_iteration():
     # time-domain approximation error never exceeds the coefficient-domain one
-    _, model = sparse_clip_instance()
+    model = make_test_model()
     op = make_frame(64, 2)
     params = SolverParams(s=1, r=1, epsilon=0.0, variant=Variant.SSPADE_DR)
     state = init_state(model, op, params)
@@ -259,7 +259,7 @@ def test_sspade_dr_approximation_bound_every_iteration():
 
 
 def test_zbar_sparsity_bound_every_variant():
-    _, model = sparse_clip_instance()
+    model = make_test_model()
     for variant in Variant:
         op = make_frame(64, 2)
         params = SolverParams(s=2, r=3, epsilon=0.0, variant=variant)
@@ -270,7 +270,7 @@ def test_zbar_sparsity_bound_every_variant():
 
 
 def test_sparsity_schedule_monotone():
-    _, model = sparse_clip_instance()
+    model = make_test_model()
     op = make_frame(64, 2)
     params = SolverParams(s=2, r=3, epsilon=0.0, variant=Variant.ASPADE)
     state = init_state(model, op, params)
@@ -348,7 +348,7 @@ def test_solve_batch_transforms_nothing_without_a_clipped_sample():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_solver_full_sparsity_one_iteration(variant):
-    _, model = sparse_clip_instance()
+    model = make_test_model()
     op = make_frame(64, 2)
     _, stats = run_solver(
         model, op, SolverParams(s=op.coeff_len, epsilon=0.1, variant=variant)
@@ -390,8 +390,8 @@ def test_run_solver_capped_returns_last_iterate(variant):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_solver_output_feasible_exactly(variant):
-    x, model = sparse_clip_instance()
-    theta = 0.5 * np.max(np.abs(x))  # the instance's clip level
+    model = make_test_model()
+    theta = np.max(np.abs(model.y))  # the instance's clip level
     op = make_frame(64, 2)
     x, _ = run_solver(model, op, SolverParams(epsilon=0.1, variant=variant))
     np.testing.assert_array_equal(x[model.mask_r], model.y[model.mask_r])
@@ -404,7 +404,7 @@ def test_aspade_projected_synthesis_solves_analysis_projection():
     # projection of the synthesized coefficients
     from spadeclip.feasible import project_gamma
 
-    _, model = sparse_clip_instance(n=16)
+    model = make_test_model(n=16)
     op = make_frame(16, 2)
     rng = np.random.default_rng(6)
     q = op.coeff_len

@@ -1,21 +1,25 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from spadeclip.frames import make_frame
+from spadeclip.frames import FrameOperator, make_frame
 from spadeclip.solvers import SolverParams, hard_threshold
 from spadeclip.verification import (
     CheckReport,
+    DenseFrameOperator,
     OracleConfig,
     brute_force_sparse_ls,
     check_projection_transposition,
     check_scaled_form,
     check_unitary_equivalence,
-    dense_analysis_matrix,
-    dense_frame,
-    dense_synthesis_matrix,
     make_test_model,
     run_all_checks,
 )
+
+
+def dense_synthesis_matrix(n, p):
+    return DenseFrameOperator(n, p).analysis.conj().T
 
 
 def test_oracle_config_validation():
@@ -23,23 +27,36 @@ def test_oracle_config_validation():
         OracleConfig(n_trials=0)
 
 
+def test_check_report_passes_up_to_its_tolerance():
+    assert CheckReport("c", 1e-9, 1e-9).passed
+    assert not CheckReport("c", 2e-9, 1e-9).passed
+    assert not CheckReport("c", float("nan"), 1e-9).passed
+
+
 def test_dense_matrices_form_a_tight_frame():
-    op = make_frame(6, 2)
-    a = dense_analysis_matrix(op)
+    a = DenseFrameOperator(6, 12).analysis
     assert a.shape == (7, 6)  # bins 0..6 of a length-12 DFT
     # Parseval under the real inner product: Re(D A) = I
     assert np.max(np.abs(np.real(a.conj().T @ a) - np.eye(6))) < 1e-12
-    d = dense_synthesis_matrix(op)
-    np.testing.assert_array_equal(d, a.conj().T)
+
+
+def test_dense_operator_is_a_frame_operator_storing_no_length():
+    dense = DenseFrameOperator(6, 9)
+    assert isinstance(dense, FrameOperator)
+    assert (dense.signal_len, dense.dft_len, dense.coeff_len) == (6, 9, 5)
+    # the lengths are the base class's; the only field added is the matrix
+    assert [f.name for f in fields(dense)] == [f.name for f in fields(FrameOperator)] + [
+        "analysis"
+    ]
+    for bad in [(8, 4), (0, 0)]:
+        with pytest.raises(ValueError):
+            DenseFrameOperator(*bad)
 
 
 @pytest.mark.parametrize("n,redundancy", [(8, 2), (7, 1), (6, 1.5)])
 def test_dense_frame_matches_fft_operator(n, redundancy):
     op = make_frame(n, redundancy)
-    dense = dense_frame(op)
-    assert (dense.signal_len, dense.dft_len, dense.coeff_len) == (
-        op.signal_len, op.dft_len, op.coeff_len
-    )
+    dense = DenseFrameOperator(n, op.dft_len)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, n))
     c = rng.standard_normal((3, op.coeff_len)) + 1j * rng.standard_normal((3, op.coeff_len))
@@ -49,8 +66,7 @@ def test_dense_frame_matches_fft_operator(n, redundancy):
 
 
 def test_brute_force_k_zero():
-    op = make_frame(4, 2)
-    d = dense_synthesis_matrix(op)
+    d = dense_synthesis_matrix(4, 8)
     t = np.array([1.0, -2.0, 0.5, 0.0])
     support, coeffs, obj = brute_force_sparse_ls(d, t, 0)
     assert support == ()
@@ -63,7 +79,7 @@ def test_brute_force_unitary_matches_hard_threshold():
     # k-pair approximation; synthesis takes the real part
     rng = np.random.default_rng(0)
     for n in (7, 8):
-        d = dense_synthesis_matrix(make_frame(n, 1))
+        d = dense_synthesis_matrix(n, n)
         for _ in range(5):
             t = rng.standard_normal(n)
             c = d.conj().T @ t
@@ -75,8 +91,7 @@ def test_brute_force_unitary_matches_hard_threshold():
 
 def test_brute_force_redundant_bounds_thresholding_approximation():
     rng = np.random.default_rng(1)
-    op = make_frame(4, 2)
-    d = dense_synthesis_matrix(op)
+    d = dense_synthesis_matrix(4, 8)
     for _ in range(10):
         t = rng.standard_normal(4)
         c = d.conj().T @ t
@@ -89,8 +104,7 @@ def test_brute_force_redundant_bounds_thresholding_approximation():
 
 
 def test_brute_force_size_limits():
-    op = make_frame(8, 4)
-    d = dense_synthesis_matrix(op)
+    d = dense_synthesis_matrix(8, 32)
     with pytest.raises(ValueError):
         brute_force_sparse_ls(d, np.zeros(8), 2)  # p = 17 > 14
     with pytest.raises(ValueError):
@@ -113,10 +127,11 @@ def test_check_scaled_form_trivial_case():
 
 def test_check_projection_transposition_unitary_and_redundant():
     config = OracleConfig(n_trials=100, seed=4)
-    for n, red in [(16, 1), (8, 2)]:
+    for n, red, kind in [(16, 1, "unitary"), (8, 2, "redundant")]:
         model = make_test_model(n=n, harmonics=(1, 3), amps=(1.0, 0.5), phases=(0.2, 1.4))
         report = check_projection_transposition(make_frame(n, red), model, config)
         assert report.passed, report.line()
+        assert report.name == f"projection transposition ({kind})"
 
 
 def test_projection_transposition_degenerate_range_component():
