@@ -72,6 +72,20 @@ def _declip(args, variant, y, theta, redundancy, reference=None):
     )
 
 
+def _to_float32(restored: np.ndarray, theta: float) -> np.ndarray:
+    """The restored samples as float32, keeping clipped ones at or beyond +-theta.
+
+    Rounding to float32 can pull a sample at or beyond +-theta just inside
+    it (0.7 rounds down to 0.69999999); such a sample steps one float32
+    ulp away from zero, which takes it back to or beyond the threshold.
+    """
+    out = restored.astype(np.float32)
+    # compared in float64: a float comparison against float32 samples would round theta too
+    inside = (np.abs(restored) >= theta) & (np.abs(out.astype(float)) < theta)
+    out[inside] = np.nextafter(out[inside], np.copysign(np.inf, out[inside]))
+    return out
+
+
 def _write_csv(fh, rows) -> None:
     writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
     writer.writeheader()
@@ -101,7 +115,7 @@ def cmd_declip(args) -> int:
         out, report = _declip(args, args.variant, channel, theta, args.redundancy)
         restored.append(out)
         reports.append(report)
-    write_wav(args.output, rate, np.stack(restored, axis=-1).reshape(y.shape))
+    write_wav(args.output, rate, _to_float32(np.stack(restored, axis=-1).reshape(y.shape), theta))
     for c, report in enumerate(reports):
         prefix = f"channel {c}: " if len(channels) > 1 else ""
         print(f"{prefix}clipped samples: {report.num_clipped} of {len(y)}")

@@ -109,7 +109,13 @@ def project_gamma(v: np.ndarray, model: ClipModel) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != model.y.shape:
         raise ValueError(f"expected shape {model.y.shape}, got {v.shape}")
+    return project_gamma_into(v, model, np.empty_like(v))
+
+
+def project_gamma_into(v: np.ndarray, model: ClipModel, out: np.ndarray) -> np.ndarray:
+    """`project_gamma` without checks, written into `out` (which may be v)."""
     # the bounds go second: on a tie (0.0 against -0.0) numpy's maximum and
     # minimum return the second operand, so reliable samples keep y's bits
-    return np.minimum(np.maximum(v, model.lo), model.hi)
+    np.maximum(v, model.lo, out=out)
+    return np.minimum(out, model.hi, out=out)
 

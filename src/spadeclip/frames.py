@@ -16,6 +16,7 @@ synthesize(analyze(x)) = x and ||synthesize(c)|| <= ||c||.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +33,8 @@ class FrameOperator:
     `coeff_len` = P//2 + 1 bins from DC to P/2, and keeping k of them keeps
     k conjugate pairs (DC and Nyquist count one each). The frame is unitary
     when `dft_len == signal_len`, redundant otherwise. Raises ValueError if
-    signal_len < 1 or dft_len < signal_len.
+    either length is not an integer (numpy integers pass), signal_len < 1
+    or dft_len < signal_len.
 
     Immutable; `analyze` and `synthesize` are pure and act on one frame or
     on a batch of frames stacked along a leading axis.
@@ -42,11 +44,14 @@ class FrameOperator:
     dft_len: int
     # per-bin analysis weights (sqrt(2/P) interior, sqrt(1/P) at DC and
     # Nyquist) and their reciprocals: numpy divides a complex array by a real
-    # one as complex division, about three times slower than a product
+    # one as complex division, about three times slower than a product. Both
+    # are stored complex: numpy casts a real factor of a complex product to
+    # complex, so the products are the same without a cast per call
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _inverse_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_integers(signal_len=self.signal_len, dft_len=self.dft_len)
         if self.signal_len < 1:
             raise ValueError(f"signal_len must be positive, got {self.signal_len}")
         if self.dft_len < self.signal_len:
@@ -58,7 +63,8 @@ class FrameOperator:
         w[0] = math.sqrt(1 / p)
         if p % 2 == 0:
             w[-1] = math.sqrt(1 / p)
-        iw = 1 / w
+        iw = (1 / w).astype(complex)
+        w = w.astype(complex)
         w.flags.writeable = False
         iw.flags.writeable = False
         object.__setattr__(self, "_weights", w)
@@ -94,6 +100,16 @@ class FrameOperator:
         return x[..., : self.signal_len]
 
 
+def require_integers(**lengths) -> None:
+    """Raise ValueError naming the first of `lengths` that is not an integer.
+
+    Python and numpy integers pass; a float does not, even an integral one.
+    """
+    for name, value in lengths.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_shape(a: np.ndarray, length: int, what: str) -> None:
     if a.ndim not in (1, 2) or a.shape[-1] != length:
         raise ValueError(
@@ -105,9 +121,11 @@ def make_frame(signal_len: int, redundancy: float | Fraction = 1) -> FrameOperat
     """Build a tight DFT frame of DFT length P = redundancy * signal_len.
 
     Redundancy 1 yields a unitary frame; redundancy > 1 a redundant one.
-    Raises ValueError if redundancy is not finite or < 1, or the implied
-    DFT length is not an integer; the constructor checks signal_len.
+    Raises ValueError if signal_len is not an integer, redundancy is not
+    finite or < 1, or the implied DFT length is not an integer; the
+    constructor checks the range of signal_len.
     """
+    require_integers(signal_len=signal_len)
     if not 1 <= redundancy < math.inf:  # also rejects NaN
         raise ValueError(f"redundancy must be finite and >= 1, got {redundancy}")
     p_exact = Fraction(redundancy).limit_denominator(10**9) * signal_len

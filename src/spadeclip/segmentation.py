@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasible import ClipModel
+from .frames import require_integers
 
 __all__ = [
     "SegmentationPlan",
@@ -31,6 +32,8 @@ class SegmentationPlan:
 
     Frames of `frame_len` samples start every `hop` samples and cover the
     signal; the last frame is filled by zero-padding the signal tail.
+    Raises ValueError if a length is not an integer (numpy integers pass)
+    or not positive, or if hop exceeds frame_len.
     """
 
     total_len: int
@@ -38,8 +41,11 @@ class SegmentationPlan:
     hop: int
 
     def __post_init__(self):
+        require_integers(total_len=self.total_len, frame_len=self.frame_len, hop=self.hop)
         if self.total_len < 1:
             raise ValueError(f"total_len must be positive, got {self.total_len}")
+        if self.frame_len < 1:
+            raise ValueError(f"frame_len must be positive, got {self.frame_len}")
         if self.hop < 1 or self.hop > self.frame_len:
             raise ValueError(f"hop must be in 1..frame_len, got {self.hop}")
 

@@ -25,16 +25,25 @@ frames of a batch share k; `solve_batch` runs one loop over the batch and
 `run_solver` is its single-frame case. Both return the restored samples
 and a `FrameStats` per frame. A frame with no clipped sample is a fixed
 point of every variant, so both pass it through with 0 iterations.
+
+Each variant's iteration is written once, as a kernel that runs in place
+on a workspace: the iterate and scratch arrays of one batch, which
+`solve_batch` allocates once and compacts only when frames retire. Apart
+from the two transforms, whose outputs the kernel adopts, an iteration
+writes into the workspace and builds no `SolverState`. The public `step`
+copies its state into a fresh workspace and runs the kernel once, so it
+leaves its input untouched; `hard_threshold` and `project_gamma` run the
+in-place helpers the kernels call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .feasible import ClipModel, project_gamma
+from .feasible import ClipModel, project_gamma_into
 from .frames import FrameOperator
 from .metrics import FrameStats
 
@@ -99,17 +108,6 @@ class SolverState:
     residual: float | np.ndarray = np.inf
     w: np.ndarray | None = None
 
-    def select(self, rows) -> SolverState:
-        """The state of the chosen frames of a batch."""
-        return replace(
-            self,
-            x_hat=self.x_hat[rows],
-            z_bar=self.z_bar[rows],
-            u=self.u[rows],
-            residual=self.residual[rows],
-            w=None if self.w is None else self.w[rows],
-        )
-
 
 def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of s_vec, zero the rest.
@@ -119,22 +117,35 @@ def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    s_vec = np.asarray(s_vec)
-    n = s_vec.shape[-1]
+    return _keep_largest(np.array(s_vec), k)
+
+
+def _keep_largest(s: np.ndarray, k: int, ws: _Workspace | None = None) -> np.ndarray:
+    """`hard_threshold` in place on s, for k >= 0; the workspace, when
+    given, holds the scratch arrays."""
+    n = s.shape[-1]
     if k >= n:
-        return s_vec.copy()
+        return s
     if k == 0:
-        return np.zeros_like(s_vec)
-    mag = np.abs(s_vec)
-    kth = np.partition(mag, n - k, axis=-1)[..., n - k, None]  # k-th largest
-    keep = mag >= kth
+        s[...] = 0
+        return s
+    if ws is None:
+        mag = np.abs(s)
+        part, keep = mag.copy(), None
+    else:
+        mag, part, keep = np.abs(s, out=ws.mag), ws.part, ws.keep
+        part[...] = mag
+    part.partition(n - k, axis=-1)
+    kth = part[..., n - k, None]  # k-th largest
+    keep = np.greater_equal(mag, kth, out=keep)
     # every row keeps at least k entries, so a surplus anywhere shows in the total
     if np.count_nonzero(keep) > k * (keep.size // n):
         # entries tied at the k-th magnitude fill the free slots in index order
         tied = mag == kth
         free = k - np.count_nonzero(mag > kth, axis=-1, keepdims=True)
         keep &= ~tied | (np.cumsum(tied, axis=-1) <= free)
-    return np.where(keep, s_vec, np.zeros((), s_vec.dtype))
+    np.copyto(s, 0, where=np.logical_not(keep, out=keep))
+    return s
 
 
 def init_state(model: ClipModel, op: FrameOperator, params: SolverParams) -> SolverState:
@@ -156,58 +167,101 @@ def _norm(a: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _advance(state: SolverState, params: SolverParams, u_new, residual, **kw) -> SolverState:
-    """Apply the shared dual/counter/sparsity bookkeeping after a step."""
-    i = state.i + 1
-    k = state.k + params.s if i % params.r == 0 else state.k
-    return replace(state, u=u_new, residual=residual, i=i, k=k, **kw)
+def _next_k(k: int, i: int, params: SolverParams) -> int:
+    """The sparsity after the i-th iteration ran at k: s more every r iterations."""
+    return k + params.s if i % params.r == 0 else k
 
 
-def _coef_step(
-    state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
-) -> SolverState:
-    """One ASPADE or SSPADE_ORIG iteration: threshold, project, dual update.
+class _Workspace:
+    """One batch's iterate and scratch arrays; the kernels overwrite them.
 
-    Both project c = z_bar - u onto their constraint set through x_hat, the
-    consistent signal nearest to v = synthesize(c). A-SPADE takes
-    analyze(x_hat); S-SPADE takes c + analyze(x_hat - v), the coefficient
-    projection `verification.project_gamma_coef`. On a unitary frame
+    `x_hat`, `z_bar`, `u` and `w` are the iterate, as in `SolverState`.
+    `coef`, `mag`, `part` and `keep` are scratch of the coefficient shape
+    and `sig` of the signal shape; they carry nothing from call to call.
+    """
+
+    def __init__(self, x_hat, z_bar, u, w):
+        self.x_hat, self.z_bar, self.u, self.w = x_hat, z_bar, u, w
+        self.coef = np.empty(z_bar.shape, complex)
+        self.mag = np.empty(z_bar.shape)
+        self.part = np.empty(z_bar.shape)
+        self.keep = np.empty(z_bar.shape, bool)
+        self.sig = np.empty(x_hat.shape)
+
+    def select(self, rows) -> _Workspace:
+        """The workspace of the chosen frames of a batch."""
+        w = None if self.w is None else self.w[rows]
+        return _Workspace(self.x_hat[rows], self.z_bar[rows], self.u[rows], w)
+
+
+def _coef_kernel(ws: _Workspace, model: ClipModel, op: FrameOperator, k: int, aspade: bool):
+    """One ASPADE or SSPADE_ORIG iteration in place; returns the residual.
+
+    Thresholds w + u to z_bar, then projects c = z_bar - u onto the
+    variant's constraint set through x_hat, the consistent signal nearest
+    to v = synthesize(c). A-SPADE takes w = analyze(x_hat); S-SPADE takes
+    w = c + analyze(x_hat - v), the coefficient projection
+    `verification.project_gamma_coef`. On a unitary frame
     analyze(synthesize(c)) = c for every c whose DC and Nyquist bins are
     real, as the iterates' are, so the two updates coincide; the lockstep
-    `unitary variant equivalence` check confirms it.
+    `unitary variant equivalence` check confirms it. The dual becomes
+    (u + w) - z_bar.
     """
-    z_bar = hard_threshold(state.w + state.u, state.k)
-    c = z_bar - state.u
+    z, u = ws.z_bar, ws.u
+    _keep_largest(np.add(ws.w, u, out=z), k, ws)
+    c = np.subtract(z, u, out=ws.coef)
     v = op.synthesize(c)
-    x_hat = project_gamma(v, model)
-    if params.variant is Variant.ASPADE:
-        w = op.analyze(x_hat)
+    x = project_gamma_into(v, model, ws.x_hat)
+    if aspade:
+        w = op.analyze(x)
     else:
-        w = c + op.analyze(x_hat - v)
-    return _advance(
-        state, params, state.u + w - z_bar, _norm(w - z_bar), x_hat=x_hat, z_bar=z_bar, w=w
-    )
+        w = op.analyze(np.subtract(x, v, out=v))
+        w += c
+    ws.w = w
+    u += w
+    u -= z
+    return _norm(np.subtract(w, z, out=c))
 
 
-def _dr_step(
-    state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
-) -> SolverState:
-    """One SSPADE_DR iteration; the dual lives in the time domain."""
-    z_bar = hard_threshold(op.analyze(state.x_hat - state.u), state.k)
-    dz = op.synthesize(z_bar)
-    x_hat = project_gamma(dz + state.u, model)
-    return _advance(
-        state, params, state.u + dz - x_hat, _norm(dz - x_hat), x_hat=x_hat, z_bar=z_bar
-    )
+def _dr_kernel(ws: _Workspace, model: ClipModel, op: FrameOperator, k: int):
+    """One SSPADE_DR iteration in place; the dual lives in the time domain.
+
+    z_bar thresholds analyze(x_hat - u); x_hat projects
+    dz + u, dz = synthesize(z_bar); the dual becomes (u + dz) - x_hat.
+    """
+    x, u = ws.x_hat, ws.u
+    z = _keep_largest(op.analyze(np.subtract(x, u, out=ws.sig)), k, ws)
+    ws.z_bar = z
+    dz = op.synthesize(z)
+    project_gamma_into(np.add(dz, u, out=x), model, x)
+    u += dz
+    u -= x
+    return _norm(np.subtract(dz, x, out=ws.sig))
+
+
+def _run_kernel(ws: _Workspace, model: ClipModel, op: FrameOperator, params: SolverParams, k: int):
+    """One iteration of params' variant on the workspace at sparsity k."""
+    if params.variant is Variant.SSPADE_DR:
+        return _dr_kernel(ws, model, op, k)
+    return _coef_kernel(ws, model, op, k, params.variant is Variant.ASPADE)
 
 
 def step(
     state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
 ) -> SolverState:
-    """Advance one iteration of the variant selected in params."""
-    if params.variant is Variant.SSPADE_DR:
-        return _dr_step(state, model, op, params)
-    return _coef_step(state, model, op, params)
+    """Advance one iteration of the variant selected in params.
+
+    The state passed in is left as it was: the kernel runs on copies.
+    """
+    ws = _Workspace(
+        np.array(state.x_hat),
+        np.empty_like(state.z_bar),
+        np.array(state.u),
+        None if state.w is None else np.array(state.w),
+    )
+    residual = _run_kernel(ws, model, op, params, state.k)
+    i = state.i + 1
+    return SolverState(ws.x_hat, ws.z_bar, ws.u, _next_k(state.k, i, params), i, residual, ws.w)
 
 
 def solve_batch(
@@ -234,20 +288,25 @@ def solve_batch(
         return restored, stats  # nothing to solve: no transform runs on an empty batch
     model = model.select(rows)
     state = init_state(model, op, params)
+    # init_state's arrays are fresh, so the workspace adopts them
+    ws = _Workspace(state.x_hat, state.z_bar, state.u, state.w)
+    i, k = 0, state.k
     while rows.size:
-        k_before = state.k
-        state = step(state, model, op, params)
-        done = state.residual <= params.epsilon
-        retired = done | (state.k > op.coeff_len)
+        residual = _run_kernel(ws, model, op, params, k)
+        i += 1
+        k_next = _next_k(k, i, params)
+        done = residual <= params.epsilon
+        retired = done | (k_next > op.coeff_len)
         if retired.any():
-            restored[rows[retired]] = state.x_hat[retired]
-            for m, res, c in zip(rows[retired], state.residual[retired], done[retired]):
+            restored[rows[retired]] = ws.x_hat[retired]
+            for m, res, c in zip(rows[retired], residual[retired], done[retired]):
                 # a converged frame does not advance k
-                stats[m] = FrameStats(state.i, float(res), k_before if c else state.k, bool(c))
+                stats[m] = FrameStats(i, float(res), k if c else k_next, bool(c))
             stay = ~retired
             rows = rows[stay]
-            state = state.select(stay)
+            ws = ws.select(stay)
             model = model.select(stay)
+        k = k_next
     return restored, stats
 
 

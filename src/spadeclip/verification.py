@@ -12,7 +12,7 @@ suite and the `verify` CLI subcommand.
 The module also holds plain references that the package itself does not
 call: `restrict_model` slices one frame's clip model, as `restrict_frames`
 gathers every frame at once, and `project_gamma_coef` is S-SPADE's
-coefficient projection, which the solvers' shared coefficient step
+coefficient projection, which the solvers' shared coefficient kernel
 computes inline so that its projected synthesis doubles as the
 time-domain estimate.
 """

@@ -636,3 +636,26 @@ def test_pipeline_batch_equals_frames_solved_alone():
         np.testing.assert_array_equal(batched, expected)
         assert report.per_frame == [stats for _, stats in alone]
         assert 0 < sum(f.iterations == 0 for f in report.per_frame) < plan.num_frames
+
+
+@pytest.mark.parametrize("theta", [0.7, 0.45])
+@pytest.mark.parametrize("variant", ["aspade", "sspade", "sspade-dr"])
+def test_declip_float32_output_keeps_clipped_samples_beyond_theta(tmp_path, variant, theta):
+    # theta is not a float32 value: a restored sample of exactly theta rounds
+    # inside (-theta, theta) when the output is narrowed to float32
+    y = np.clip(sparse_signal(n=2000, amp=1.2), -theta, theta).astype(np.float32)
+    src, out = tmp_path / "in.wav", tmp_path / "out.wav"
+    wavfile.write(src, RATE, y)
+    code, _ = run_cli(
+        "declip", "--input", src, "--output", out, "--variant", variant, "--theta", theta,
+        "--frame-len", 256, "--hop", 64,
+    )
+    assert code == 0
+    _, restored = wavfile.read(out)
+    assert restored.dtype == np.float32
+    model = detect_masks(y.astype(float), theta)
+    assert model.num_clipped > 0
+    restored = restored.astype(float)
+    np.testing.assert_array_equal(restored[model.mask_r], y[model.mask_r])
+    assert np.all(restored[model.mask_h] >= theta)
+    assert np.all(restored[model.mask_l] <= -theta)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from spadeclip.frames import FrameOperator, make_frame
+from spadeclip.pipeline import declip_signal
+from spadeclip.segmentation import SegmentationPlan
+from spadeclip.solvers import SolverParams
 
 
 def naive_analysis_matrix(n, p):
@@ -54,6 +57,40 @@ def test_frame_operator_rejects_bad_geometry(signal_len, dft_len):
     # fewer DFT bins than samples would make synthesize(analyze(x)) drop samples
     with pytest.raises(ValueError, match="signal_len"):
         FrameOperator(signal_len, dft_len)
+
+
+def _declip(**geometry):
+    return declip_signal(np.zeros(300), 0.5, SolverParams(), **geometry)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: FrameOperator(8.5, 16), "signal_len"),
+        (lambda: FrameOperator(8, 16.0), "dft_len"),
+        (lambda: make_frame(8.0, 2), "signal_len"),
+        (lambda: SegmentationPlan(100.0, 16, 4), "total_len"),
+        (lambda: SegmentationPlan(100, 16.0, 4), "frame_len"),
+        (lambda: SegmentationPlan(100, 16, 4.0), "hop"),
+        (lambda: _declip(frame_len=256.0), "frame_len"),
+        (lambda: _declip(frame_len=256, hop=64.0), "hop"),
+    ],
+    ids=["op-signal", "op-dft", "make-frame", "plan-total", "plan-frame", "plan-hop",
+         "declip-frame", "declip-hop"],
+)  # fmt: skip
+def test_non_integer_geometry_names_the_argument(build, name):
+    # the workspace and the frame grid are sized from these lengths
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build()
+
+
+def test_numpy_integer_geometry_is_accepted():
+    n = np.int64(16)
+    assert make_frame(n, 2).dft_len == 32
+    assert FrameOperator(np.int32(8), n).coeff_len == 9
+    plan = SegmentationPlan(np.int64(100), n, np.int16(4))
+    assert plan.num_frames == 22
+    assert plan.sample_index.dtype.kind == "i"
 
 
 def test_analyze_known_values():

@@ -46,6 +46,13 @@ def test_plan_constructor_validates(total_len, frame_len, hop):
         SegmentationPlan(total_len, frame_len, hop)
 
 
+@pytest.mark.parametrize("frame_len", [0, -4])
+def test_plan_names_a_nonpositive_frame_len(frame_len):
+    # not blamed on the hop, which is in range for any positive frame length
+    with pytest.raises(ValueError, match="frame_len must be positive"):
+        SegmentationPlan(8, frame_len, 1)
+
+
 @pytest.mark.parametrize(
     "total_len,frame_len,hop,num_frames",
     [(1, 4, 2, 1), (3, 4, 2, 1), (4, 4, 2, 1), (5, 4, 2, 2), (8, 4, 2, 3), (9, 4, 2, 4)],

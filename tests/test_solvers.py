@@ -183,16 +183,16 @@ def test_sspade_orig_first_step_matches_dense_matrix_reference():
     assert np.max(np.abs(u_ref - (a_mat @ x_ref - z_ref))) > 1e-3
 
 
+def _stacked(models):
+    return ClipModel(*(np.stack([getattr(m, f) for m in models]) for f in ("y", "lo", "hi")))
+
+
 @pytest.mark.parametrize("redundancy", [1.5, 2])
 @pytest.mark.parametrize("batch", [False, True], ids=["frame", "batch"])
 def test_sspade_orig_update_is_the_coefficient_projection(redundancy, batch):
     # the solver computes S-SPADE's w inline; the reference projects z_bar - u
     models = [make_test_model(), make_test_model(harmonics=(2, 5, 11), phases=(1.0, 0.4, 2.7))]
-    model = (
-        ClipModel(*(np.stack([getattr(m, f) for m in models]) for f in ("y", "lo", "hi")))
-        if batch
-        else models[0]
-    )
+    model = _stacked(models) if batch else models[0]
     op = make_frame(64, redundancy)
     params = SolverParams(s=1, r=1, epsilon=0.0, variant=Variant.SSPADE_ORIG)
     state = init_state(model, op, params)
@@ -283,6 +283,76 @@ def test_sparsity_schedule_monotone():
         assert b in (a, a + 2)
     # k grows by exactly s every r completed iterations
     assert ks[30] == 2 + 2 * (30 // 3)
+
+
+def _state_arrays(state):
+    arrays = {"x_hat": state.x_hat, "z_bar": state.z_bar, "u": state.u, "w": state.w}
+    arrays["residual"] = np.asarray(state.residual)
+    return {name: a for name, a in arrays.items() if a is not None}
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["frame", "batch"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_leaves_its_input_state_untouched(variant, batch):
+    models = [make_test_model(), make_test_model(harmonics=(2, 5, 11), phases=(1.0, 0.4, 2.7))]
+    model = _stacked(models) if batch else models[0]
+    op = make_frame(64, 2)
+    params = SolverParams(s=1, r=1, epsilon=0.0, variant=variant)
+    state = init_state(model, op, params)
+    for _ in range(5):
+        before = {name: a.copy() for name, a in _state_arrays(state).items()}
+        new = step(state, model, op, params)
+        for name, a in _state_arrays(state).items():
+            assert a.tobytes() == before[name].tobytes(), name
+        # the new state shares no memory with the old one
+        for name, a in _state_arrays(new).items():
+            assert not any(np.shares_memory(a, b) for b in _state_arrays(state).values()), name
+        again = step(state, model, op, params)
+        for name, a in _state_arrays(new).items():
+            assert a.tobytes() == _state_arrays(again)[name].tobytes(), name
+        state = new
+
+
+def _solve_by_steps(model, op, params):
+    """One frame: public steps until the stop rule of `solve_batch` fires."""
+    state = init_state(model, op, params)
+    while True:
+        k_before = state.k
+        state = step(state, model, op, params)
+        if state.residual <= params.epsilon:
+            return state.x_hat, FrameStats(state.i, state.residual, k_before, True)
+        if state.k > op.coeff_len:
+            return state.x_hat, FrameStats(state.i, state.residual, state.k, False)
+
+
+def _retiring_batch():
+    """Frames clipped at different levels, a clipped noise frame and a clip-free one."""
+    n = 64
+    t = np.arange(n)
+    rows, thetas = [], [0.9, 0.7, 0.5, 0.3, 0.15, 0.3]
+    for level in thetas[:4]:
+        x = np.sin(2 * np.pi * 3 * t / n + level) + 0.5 * np.sin(2 * np.pi * 7 * t / n + 2 * level)
+        rows.append(hard_clip(x / np.max(np.abs(x)), level))
+    rows.append(hard_clip(np.random.default_rng(3).standard_normal(n), thetas[4]))
+    rows.append(0.2 * np.sin(2 * np.pi * 5 * t / n))
+    return [detect_masks(y, theta, 0.0) for y, theta in zip(rows, thetas)]
+
+
+@pytest.mark.parametrize("redundancy", [1, 1.5, 2])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solve_batch_equals_a_loop_of_public_steps(variant, redundancy):
+    models = _retiring_batch()
+    op = make_frame(64, redundancy)
+    params = SolverParams(s=1, r=2, epsilon=0.01, variant=variant)
+    x, stats = solve_batch(_stacked(models), op, params)
+    for m, model in enumerate(models[:-1]):
+        x_ref, stats_ref = _solve_by_steps(model, op, params)
+        assert x[m].tobytes() == x_ref.tobytes()
+        assert stats[m] == stats_ref
+    assert stats[-1] == FrameStats(0, 0.0, 0, True)
+    assert x[-1].tobytes() == models[-1].y.tobytes()
+    # frames retire at different iterations, so the batch shrinks several times
+    assert len({f.iterations for f in stats[:-1]}) >= 3
 
 
 # ---------------------------------------------------------------- run_solver
