@@ -95,7 +95,7 @@ def _write_csv(fh, rows) -> None:
 def cmd_clip(args) -> int:
     rate, x = read_wav(args.input)
     clipped = hard_clip(x, args.theta)
-    write_wav(args.output, rate, clipped)
+    write_wav(args.output, rate, clipped.astype(np.float32))
     frac = np.mean(np.abs(x) >= args.theta)
     print(f"clipped {frac:.4f} of {x.size} samples at theta={args.theta}")
     return EXIT_OK
@@ -115,7 +115,15 @@ def cmd_declip(args) -> int:
         out, report = _declip(args, args.variant, channel, theta, args.redundancy)
         restored.append(out)
         reports.append(report)
-    write_wav(args.output, rate, _to_float32(np.stack(restored, axis=-1).reshape(y.shape), theta))
+    restored = np.stack(restored, axis=-1).reshape(y.shape)
+    # float32 only where it holds every input sample (PCM8/16/24 and float32
+    # files), so reliable samples pass through bit-exactly; a sample beyond
+    # float32's range casts to inf, which fails the comparison
+    with np.errstate(over="ignore"):
+        float32_exact = np.array_equal(y.astype(np.float32), y)
+    if float32_exact:
+        restored = _to_float32(restored, theta)
+    write_wav(args.output, rate, restored)
     for c, report in enumerate(reports):
         prefix = f"channel {c}: " if len(channels) > 1 else ""
         print(f"{prefix}clipped samples: {report.num_clipped} of {len(y)}")

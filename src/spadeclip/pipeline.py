@@ -36,7 +36,9 @@ def declip_signal(
     Returns the restored signal and a report. SDR fields are computed
     against `reference` when given (clip-simulation experiments),
     otherwise against the observation itself, which makes the input-SDR
-    field infinite. An empty `y` raises a ValueError.
+    field infinite. A `y` that is empty or not one-dimensional, or a
+    `reference` of another shape or holding a NaN or an infinity, raises a
+    ValueError before any work.
 
     Every frame goes to one `solve_batch` call, which passes the frames
     with no clipped sample through with 0 iterations. Reliable samples of
@@ -45,8 +47,15 @@ def declip_signal(
     global consistency projection once more.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y must be one-dimensional, got shape {y.shape}")
     if y.size == 0:
         raise ValueError("signal is empty")
+    ref = y if reference is None else np.asarray(reference, dtype=float)
+    if ref.shape != y.shape:
+        raise ValueError(f"reference has shape {ref.shape}, y has shape {y.shape}")
+    if not np.all(np.isfinite(ref)):
+        raise ValueError("reference holds non-finite samples (NaN or inf)")
     t0 = time.perf_counter()
     model = detect_masks(y, theta, delta_detect)
     plan = SegmentationPlan(len(y), frame_len, hop)
@@ -55,7 +64,6 @@ def declip_signal(
     restored = project_gamma(overlap_add(frames, plan), model)
     runtime = time.perf_counter() - t0
 
-    ref = y if reference is None else np.asarray(reference, dtype=float)
     clipped = ~model.mask_r
     report = DeclipReport(
         sdr_clipped_input=sdr(ref, y),

@@ -26,14 +26,13 @@ frames of a batch share k; `solve_batch` runs one loop over the batch and
 and a `FrameStats` per frame. A frame with no clipped sample is a fixed
 point of every variant, so both pass it through with 0 iterations.
 
-Each variant's iteration is written once, as a kernel that runs in place
-on a workspace: the iterate and scratch arrays of one batch, which
-`solve_batch` allocates once and compacts only when frames retire. Apart
-from the two transforms, whose outputs the kernel adopts, an iteration
-writes into the workspace and builds no `SolverState`. The public `step`
-copies its state into a fresh workspace and runs the kernel once, so it
-leaves its input untouched; `hard_threshold` and `project_gamma` run the
-in-place helpers the kernels call.
+Each variant's iteration is written once, as a kernel that advances a
+`SolverState` in place: apart from the two transforms, whose outputs the
+kernel adopts, an iteration writes into the buffers of its own state
+that it has used up. `solve_batch` advances one state per batch and
+compacts it only when frames retire. The public `step` advances a copy
+of its state, so it leaves its input untouched; `hard_threshold` and
+`project_gamma` run the in-place helpers the kernels call.
 """
 
 from __future__ import annotations
@@ -90,14 +89,15 @@ class SolverParams:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverState:
     """One iteration's variables. `i` counts completed iterations.
 
-    `w` is the coefficient iterate of ASPADE and SSPADE_ORIG, None for
-    SSPADE_DR. For a batch, the arrays have a leading frame axis and
-    `residual` holds one value per frame; `k` and `i` are shared by the
-    batch.
+    The solver advances a state in place, so the class is not frozen;
+    `step` returns a new state and leaves its input as it was. `w` is the
+    coefficient iterate of ASPADE and SSPADE_ORIG, None for SSPADE_DR. For
+    a batch, the arrays have a leading frame axis and `residual` holds one
+    value per frame; `k` and `i` are shared by the batch.
     """
 
     x_hat: np.ndarray
@@ -120,24 +120,19 @@ def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
     return _keep_largest(np.array(s_vec), k)
 
 
-def _keep_largest(s: np.ndarray, k: int, ws: _Workspace | None = None) -> np.ndarray:
-    """`hard_threshold` in place on s, for k >= 0; the workspace, when
-    given, holds the scratch arrays."""
+def _keep_largest(s: np.ndarray, k: int) -> np.ndarray:
+    """`hard_threshold` in place on s, for k >= 0."""
     n = s.shape[-1]
     if k >= n:
         return s
     if k == 0:
         s[...] = 0
         return s
-    if ws is None:
-        mag = np.abs(s)
-        part, keep = mag.copy(), None
-    else:
-        mag, part, keep = np.abs(s, out=ws.mag), ws.part, ws.keep
-        part[...] = mag
+    mag = np.abs(s)
+    part = mag.copy()
     part.partition(n - k, axis=-1)
     kth = part[..., n - k, None]  # k-th largest
-    keep = np.greater_equal(mag, kth, out=keep)
+    keep = mag >= kth
     # every row keeps at least k entries, so a surplus anywhere shows in the total
     if np.count_nonzero(keep) > k * (keep.size // n):
         # entries tied at the k-th magnitude fill the free slots in index order
@@ -167,34 +162,20 @@ def _norm(a: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _next_k(k: int, i: int, params: SolverParams) -> int:
-    """The sparsity after the i-th iteration ran at k: s more every r iterations."""
-    return k + params.s if i % params.r == 0 else k
+def _select_rows(state: SolverState, pick) -> SolverState:
+    """The state with `pick` applied to each of its arrays.
 
-
-class _Workspace:
-    """One batch's iterate and scratch arrays; the kernels overwrite them.
-
-    `x_hat`, `z_bar`, `u` and `w` are the iterate, as in `SolverState`.
-    `coef`, `mag`, `part` and `keep` are scratch of the coefficient shape
-    and `sig` of the signal shape; they carry nothing from call to call.
+    `pick` selects rows of a batch (`lambda a: a[rows]`) or copies
+    (`np.array`). `k`, `i` and `residual` carry over as they are; the
+    next `_advance` sets the residual.
     """
-
-    def __init__(self, x_hat, z_bar, u, w):
-        self.x_hat, self.z_bar, self.u, self.w = x_hat, z_bar, u, w
-        self.coef = np.empty(z_bar.shape, complex)
-        self.mag = np.empty(z_bar.shape)
-        self.part = np.empty(z_bar.shape)
-        self.keep = np.empty(z_bar.shape, bool)
-        self.sig = np.empty(x_hat.shape)
-
-    def select(self, rows) -> _Workspace:
-        """The workspace of the chosen frames of a batch."""
-        w = None if self.w is None else self.w[rows]
-        return _Workspace(self.x_hat[rows], self.z_bar[rows], self.u[rows], w)
+    w = None if state.w is None else pick(state.w)
+    return SolverState(
+        pick(state.x_hat), pick(state.z_bar), pick(state.u), state.k, state.i, state.residual, w
+    )
 
 
-def _coef_kernel(ws: _Workspace, model: ClipModel, op: FrameOperator, k: int, aspade: bool):
+def _coef_kernel(state: SolverState, model: ClipModel, op: FrameOperator, aspade: bool):
     """One ASPADE or SSPADE_ORIG iteration in place; returns the residual.
 
     Thresholds w + u to z_bar, then projects c = z_bar - u onto the
@@ -207,43 +188,52 @@ def _coef_kernel(ws: _Workspace, model: ClipModel, op: FrameOperator, k: int, as
     `unitary variant equivalence` check confirms it. The dual becomes
     (u + w) - z_bar.
     """
-    z, u = ws.z_bar, ws.u
-    _keep_largest(np.add(ws.w, u, out=z), k, ws)
-    c = np.subtract(z, u, out=ws.coef)
+    z, u = state.z_bar, state.u
+    _keep_largest(np.add(state.w, u, out=z), state.k)
+    # the old w is used up: its buffer holds c, then the residual difference
+    c = np.subtract(z, u, out=state.w)
     v = op.synthesize(c)
-    x = project_gamma_into(v, model, ws.x_hat)
+    x = project_gamma_into(v, model, state.x_hat)
     if aspade:
         w = op.analyze(x)
     else:
         w = op.analyze(np.subtract(x, v, out=v))
         w += c
-    ws.w = w
+    state.w = w
     u += w
     u -= z
     return _norm(np.subtract(w, z, out=c))
 
 
-def _dr_kernel(ws: _Workspace, model: ClipModel, op: FrameOperator, k: int):
+def _dr_kernel(state: SolverState, model: ClipModel, op: FrameOperator):
     """One SSPADE_DR iteration in place; the dual lives in the time domain.
 
     z_bar thresholds analyze(x_hat - u); x_hat projects
     dz + u, dz = synthesize(z_bar); the dual becomes (u + dz) - x_hat.
     """
-    x, u = ws.x_hat, ws.u
-    z = _keep_largest(op.analyze(np.subtract(x, u, out=ws.sig)), k, ws)
-    ws.z_bar = z
-    dz = op.synthesize(z)
+    x, u = state.x_hat, state.u
+    # the old x_hat is used up once x_hat - u is analyzed
+    state.z_bar = _keep_largest(op.analyze(np.subtract(x, u, out=x)), state.k)
+    dz = op.synthesize(state.z_bar)
     project_gamma_into(np.add(dz, u, out=x), model, x)
     u += dz
     u -= x
-    return _norm(np.subtract(dz, x, out=ws.sig))
+    return _norm(np.subtract(dz, x, out=dz))
 
 
-def _run_kernel(ws: _Workspace, model: ClipModel, op: FrameOperator, params: SolverParams, k: int):
-    """One iteration of params' variant on the workspace at sparsity k."""
+def _advance(state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams):
+    """One iteration of params' variant on state, in place.
+
+    Runs the variant's kernel at the state's k, then sets the residual and
+    counts the iteration; k grows by s every r iterations.
+    """
     if params.variant is Variant.SSPADE_DR:
-        return _dr_kernel(ws, model, op, k)
-    return _coef_kernel(ws, model, op, k, params.variant is Variant.ASPADE)
+        state.residual = _dr_kernel(state, model, op)
+    else:
+        state.residual = _coef_kernel(state, model, op, params.variant is Variant.ASPADE)
+    state.i += 1
+    if state.i % params.r == 0:
+        state.k += params.s
 
 
 def step(
@@ -251,17 +241,11 @@ def step(
 ) -> SolverState:
     """Advance one iteration of the variant selected in params.
 
-    The state passed in is left as it was: the kernel runs on copies.
+    The state passed in is left as it was: a copy of it is advanced.
     """
-    ws = _Workspace(
-        np.array(state.x_hat),
-        np.empty_like(state.z_bar),
-        np.array(state.u),
-        None if state.w is None else np.array(state.w),
-    )
-    residual = _run_kernel(ws, model, op, params, state.k)
-    i = state.i + 1
-    return SolverState(ws.x_hat, ws.z_bar, ws.u, _next_k(state.k, i, params), i, residual, ws.w)
+    new = _select_rows(state, np.array)
+    _advance(new, model, op, params)
+    return new
 
 
 def solve_batch(
@@ -288,25 +272,20 @@ def solve_batch(
         return restored, stats  # nothing to solve: no transform runs on an empty batch
     model = model.select(rows)
     state = init_state(model, op, params)
-    # init_state's arrays are fresh, so the workspace adopts them
-    ws = _Workspace(state.x_hat, state.z_bar, state.u, state.w)
-    i, k = 0, state.k
     while rows.size:
-        residual = _run_kernel(ws, model, op, params, k)
-        i += 1
-        k_next = _next_k(k, i, params)
-        done = residual <= params.epsilon
-        retired = done | (k_next > op.coeff_len)
+        k = state.k
+        _advance(state, model, op, params)
+        done = state.residual <= params.epsilon
+        retired = done | (state.k > op.coeff_len)
         if retired.any():
-            restored[rows[retired]] = ws.x_hat[retired]
-            for m, res, c in zip(rows[retired], residual[retired], done[retired]):
+            restored[rows[retired]] = state.x_hat[retired]
+            for m, res, c in zip(rows[retired], state.residual[retired], done[retired]):
                 # a converged frame does not advance k
-                stats[m] = FrameStats(i, float(res), k if c else k_next, bool(c))
+                stats[m] = FrameStats(state.i, float(res), k if c else state.k, bool(c))
             stay = ~retired
             rows = rows[stay]
-            ws = ws.select(stay)
+            state = _select_rows(state, lambda a: a[stay])
             model = model.select(stay)
-        k = k_next
     return restored, stats
 
 

@@ -3,8 +3,9 @@
 `read_wav` accepts PCM 8-, 16-, 24- and 32-bit and float32 / float64
 files with any number of channels. It returns float64 samples, shape (n,)
 for mono and (n, channels) otherwise, and rejects a file with no samples
-or one holding a NaN or an infinity. `write_wav` writes 32-bit float with
-the array's channel count.
+or one holding a NaN or an infinity. `write_wav` writes a float WAV with
+the array's channel count: float32 for a float32 array, float64 for any
+other, so a caller chooses the width by the array it passes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ def read_wav(path: str) -> tuple[int, np.ndarray]:
 
 
 def write_wav(path: str, rate: int, samples: np.ndarray) -> None:
-    """Write (n,) or (n, channels) samples as a 32-bit float WAV file."""
+    """Write (n,) or (n, channels) samples as a float WAV file: 32-bit for a
+    float32 array, 64-bit for any other."""
     from scipy.io import wavfile  # deferred for the same reason as in read_wav
 
-    wavfile.write(path, rate, np.asarray(samples, dtype=np.float32))
+    samples = np.asarray(samples)
+    if samples.dtype != np.float32:
+        samples = samples.astype(np.float64, copy=False)
+    wavfile.write(path, rate, samples)

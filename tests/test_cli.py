@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import wave
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import spadeclip
@@ -40,7 +43,8 @@ def sparse_signal(n=2048, amp=1.0):
 @pytest.fixture
 def clean_wav(tmp_path):
     path = tmp_path / "clean.wav"
-    write_wav(str(path), RATE, sparse_signal(amp=0.8))
+    # a float32 file: write_wav keeps the width of the array it is given
+    write_wav(str(path), RATE, sparse_signal(amp=0.8).astype(np.float32))
     return path
 
 
@@ -617,6 +621,35 @@ def test_declip_signal_rejects_nan_theta():
         declip_signal(y, float("nan"), SolverParams(), frame_len=256, hop=64)
 
 
+def test_declip_signal_rejects_a_multichannel_y():
+    y = np.clip(np.stack([sparse_signal(50), sparse_signal(50)], axis=1), -0.4, 0.4)
+    with pytest.raises(ValueError, match=r"y must be one-dimensional, got shape \(50, 2\)"):
+        declip_signal(y, 0.4, SolverParams(), frame_len=16, hop=8)
+
+
+def test_declip_signal_rejects_a_reference_of_another_shape(monkeypatch):
+    import spadeclip.pipeline
+
+    def no_detection(*args, **kwargs):
+        raise AssertionError("detection ran before the reference was checked")
+
+    monkeypatch.setattr(spadeclip.pipeline, "detect_masks", no_detection)
+    x = sparse_signal(512)
+    y = np.clip(x, -0.4, 0.4)
+    with pytest.raises(ValueError, match=r"reference has shape \(511,\), y has shape \(512,\)"):
+        declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=x[:-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_declip_signal_rejects_a_non_finite_reference(bad):
+    # an SDR against it would be NaN, silently
+    x = sparse_signal(512)
+    y = np.clip(x, -0.4, 0.4)
+    x[7] = bad
+    with pytest.raises(ValueError, match="reference holds non-finite samples"):
+        declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=x)
+
+
 def test_pipeline_batch_equals_frames_solved_alone():
     # the batched solve gives each frame exactly what run_solver gives it alone
     x = sparse_signal(1024)
@@ -659,3 +692,64 @@ def test_declip_float32_output_keeps_clipped_samples_beyond_theta(tmp_path, vari
     np.testing.assert_array_equal(restored[model.mask_r], y[model.mask_r])
     assert np.all(restored[model.mask_h] >= theta)
     assert np.all(restored[model.mask_l] <= -theta)
+
+
+# PCM bit depths; None for the float formats
+WAV_FORMATS = {"pcm8": 8, "pcm16": 16, "pcm24": 24, "pcm32": 32, "float32": None, "float64": None}
+
+
+def _on_format_grid(x, fmt):
+    """x rounded to the values a file of format fmt stores exactly."""
+    bits = WAV_FORMATS[fmt]
+    if bits is not None:
+        return np.round(x * 2 ** (bits - 1)) / 2 ** (bits - 1)
+    return x.astype(np.float32).astype(float) if fmt == "float32" else x
+
+
+@st.composite
+def declip_wav_cases(draw):
+    fmt = draw(st.sampled_from(sorted(WAV_FORMATS)))
+    channels = draw(st.integers(1, 3))
+    frame_len = draw(st.sampled_from([16, 32]))
+    hop = draw(st.integers(frame_len // 4, frame_len))
+    n = draw(st.integers(1, 3 * frame_len))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, channels))
+    x *= 0.9 / np.max(np.abs(x))
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, channels - 1))] = 0  # a silent channel
+    # a clip level the format stores exactly, so clipped samples read back at +-theta
+    theta = float(_on_format_grid(np.array(draw(st.floats(0.2, 1.2)) * 0.9), fmt))
+    y = _on_format_grid(np.clip(x, -theta, theta), fmt)
+    theta_arg = draw(st.sampled_from(["auto", repr(theta)]))
+    variant = draw(st.sampled_from([v.value for v in Variant]))
+    return fmt, y, frame_len, hop, theta_arg, variant
+
+
+@settings(max_examples=100, deadline=None)
+@given(declip_wav_cases())
+def test_declip_wav_keeps_the_invariants(case):
+    fmt, y, frame_len, hop, theta_arg, variant = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.wav", Path(tmp) / "out.wav"
+        if WAV_FORMATS[fmt] is None:
+            wavfile.write(src, RATE, y.astype(fmt))
+        else:
+            write_pcm(src, WAV_FORMATS[fmt], y)  # 24-bit through the stdlib
+        _, y = read_wav(str(src))  # as the CLI reads it: shape (n,) when mono
+        code, _ = run_cli(
+            "declip", "--input", src, "--output", out, "--theta", theta_arg,
+            "--variant", variant, "--frame-len", frame_len, "--hop", hop,
+        )
+        assert code == 0
+        _, raw = wavfile.read(out)
+        _, restored = read_wav(str(out))
+    if fmt not in ("pcm32", "float64"):  # float32 holds every sample of the others
+        assert raw.dtype == np.float32
+    assert restored.shape == y.shape
+    assert np.all(np.isfinite(restored))
+    theta = (float(np.max(np.abs(y))) or np.inf) if theta_arg == "auto" else float(theta_arg)
+    for channel, out_channel in zip(np.atleast_2d(y.T), np.atleast_2d(restored.T)):
+        reliable = detect_masks(channel, theta).mask_r
+        # compared in float64, bit for bit
+        assert out_channel[reliable].tobytes() == channel[reliable].tobytes()
+        assert np.all(np.abs(out_channel[~reliable]) >= theta)

@@ -313,6 +313,31 @@ def test_step_leaves_its_input_state_untouched(variant, batch):
         state = new
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["frame", "batch"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solvers_leave_the_model_untouched(variant, batch):
+    # the kernels overwrite their own buffers, never the clip model's
+    models = [make_test_model(), make_test_model(harmonics=(2, 5, 11), phases=(1.0, 0.4, 2.7))]
+    model = _stacked(models) if batch else models[0]
+    before = {name: getattr(model, name).copy() for name in ("y", "lo", "hi")}
+
+    def assert_untouched(call):
+        for name, a in before.items():
+            assert getattr(model, name).tobytes() == a.tobytes(), (call, name)
+
+    op = make_frame(64, 2)
+    params = SolverParams(s=1, r=1, epsilon=0.0, variant=variant)
+    state = init_state(model, op, params)
+    for _ in range(5):
+        state = step(state, model, op, params)
+    assert_untouched("step")
+    solve_batch(model if batch else model.select(np.newaxis), op, params)
+    assert_untouched("solve_batch")
+    if not batch:
+        run_solver(model, op, params)
+        assert_untouched("run_solver")
+
+
 def _solve_by_steps(model, op, params):
     """One frame: public steps until the stop rule of `solve_batch` fires."""
     state = init_state(model, op, params)
