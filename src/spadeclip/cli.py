@@ -72,16 +72,20 @@ def _declip(args, variant, y, theta, redundancy, reference=None):
     )
 
 
-def _to_float32(restored: np.ndarray, theta: float) -> np.ndarray:
-    """The restored samples as float32, keeping clipped ones at or beyond +-theta.
+def _as_written(samples: np.ndarray, source: np.ndarray, theta: float) -> np.ndarray:
+    """`samples` as the CLI writes them for an input file read as `source`.
 
-    Rounding to float32 can pull a sample at or beyond +-theta just inside
-    it (0.7 rounds down to 0.69999999); such a sample steps one float32
-    ulp away from zero, which takes it back to or beyond the threshold.
+    float32 when float32 holds every sample of `source`, float64 otherwise,
+    so a sample passed through unchanged reads back bit-exact and no file is
+    wider than its input. A sample at or beyond +-theta that rounding pulls
+    inside (0.7 becomes 0.69999999) steps one float32 ulp away from zero.
     """
-    out = restored.astype(np.float32)
+    with np.errstate(over="ignore"):  # a sample beyond float32's range casts to inf: not held
+        if not np.array_equal(source.astype(np.float32), source):
+            return samples.astype(np.float64, copy=False)
+    out = samples.astype(np.float32)
     # compared in float64: a float comparison against float32 samples would round theta too
-    inside = (np.abs(restored) >= theta) & (np.abs(out.astype(float)) < theta)
+    inside = (np.abs(samples) >= theta) & (np.abs(out.astype(float)) < theta)
     out[inside] = np.nextafter(out[inside], np.copysign(np.inf, out[inside]))
     return out
 
@@ -95,7 +99,7 @@ def _write_csv(fh, rows) -> None:
 def cmd_clip(args) -> int:
     rate, x = read_wav(args.input)
     clipped = hard_clip(x, args.theta)
-    write_wav(args.output, rate, clipped.astype(np.float32))
+    write_wav(args.output, rate, _as_written(clipped, x, args.theta))
     frac = np.mean(np.abs(x) >= args.theta)
     print(f"clipped {frac:.4f} of {x.size} samples at theta={args.theta}")
     return EXIT_OK
@@ -116,14 +120,7 @@ def cmd_declip(args) -> int:
         restored.append(out)
         reports.append(report)
     restored = np.stack(restored, axis=-1).reshape(y.shape)
-    # float32 only where it holds every input sample (PCM8/16/24 and float32
-    # files), so reliable samples pass through bit-exactly; a sample beyond
-    # float32's range casts to inf, which fails the comparison
-    with np.errstate(over="ignore"):
-        float32_exact = np.array_equal(y.astype(np.float32), y)
-    if float32_exact:
-        restored = _to_float32(restored, theta)
-    write_wav(args.output, rate, restored)
+    write_wav(args.output, rate, _as_written(restored, y, theta))
     for c, report in enumerate(reports):
         prefix = f"channel {c}: " if len(channels) > 1 else ""
         print(f"{prefix}clipped samples: {report.num_clipped} of {len(y)}")

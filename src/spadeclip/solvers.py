@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .feasible import ClipModel, project_gamma_into
-from .frames import FrameOperator
+from .frames import FrameOperator, require_integers
 from .metrics import FrameStats
 
 __all__ = [
@@ -80,6 +80,7 @@ class SolverParams:
     variant: Variant = Variant.ASPADE
 
     def __post_init__(self):
+        require_integers(s=self.s, r=self.r)  # k and the schedule count in whole steps
         # `not x >= bound` also rejects NaN
         if not self.s >= 1:
             raise ValueError(f"s must be >= 1, got {self.s}")

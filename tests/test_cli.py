@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import spadeclip
 from spadeclip.cli import CSV_FIELDS, main
-from spadeclip.feasible import detect_masks, project_gamma
+from spadeclip.feasible import detect_masks, hard_clip, project_gamma
 from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
 from spadeclip.pipeline import declip_signal
@@ -753,3 +753,58 @@ def test_declip_wav_keeps_the_invariants(case):
         # compared in float64, bit for bit
         assert out_channel[reliable].tobytes() == channel[reliable].tobytes()
         assert np.all(np.abs(out_channel[~reliable]) >= theta)
+
+
+@st.composite
+def clip_wav_cases(draw):
+    fmt = draw(st.sampled_from(sorted(WAV_FORMATS)))
+    channels = draw(st.integers(1, 3))
+    n = draw(st.integers(16, 200))  # enough samples that a PCM32 file is no float32 file
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, channels))
+    x = _on_format_grid(x * 0.9 / np.max(np.abs(x)), fmt)
+    # off every grid but float64's: clipping makes samples the input format does not hold
+    theta = draw(st.floats(0.1, 0.85))
+    assume(float(np.float32(theta)) != theta)
+    assume(float(_on_format_grid(np.array(theta), "pcm32")) != theta)
+    return fmt, x, theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(clip_wav_cases())
+def test_clip_wav_keeps_the_invariants(case):
+    fmt, x, theta = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.wav", Path(tmp) / "out.wav"
+        if WAV_FORMATS[fmt] is None:
+            wavfile.write(src, RATE, x.astype(fmt))
+        else:
+            write_pcm(src, WAV_FORMATS[fmt], x)
+        _, x = read_wav(str(src))  # as the CLI reads it: shape (n,) when mono
+        code, _ = run_cli("clip", "--input", src, "--output", out, "--theta", repr(theta))
+        assert code == 0
+        _, raw = wavfile.read(out)
+        _, y = read_wav(str(out))
+    assert (raw.dtype == np.float32) == (fmt not in ("pcm32", "float64"))
+    assert y.shape == x.shape
+    clipped = np.abs(x) >= theta
+    # compared in float64, bit for bit
+    assert y[~clipped].tobytes() == x[~clipped].tobytes()
+    assert np.all(np.sign(y[clipped]) == np.sign(x[clipped]))
+    assert np.all(np.abs(y[clipped]) >= theta)
+    assert np.all(np.abs(y[clipped]) - theta <= np.spacing(np.float32(theta)))
+
+
+def test_clip_then_declip_of_a_float64_file_is_the_in_memory_declip(tmp_path):
+    theta = 0.7
+    n = np.arange(4000)
+    x = np.sin(2 * np.pi * 440 * n / RATE) + 0.6 * np.sin(2 * np.pi * 1100 * n / RATE + 1.0)
+    x = 1.2 * x / np.max(np.abs(x))
+    src, clipped, out = tmp_path / "in.wav", tmp_path / "clipped.wav", tmp_path / "out.wav"
+    wavfile.write(src, RATE, x)
+    assert run_cli("clip", "--input", src, "--output", clipped, "--theta", theta)[0] == 0
+    code, _ = run_cli("declip", "--input", clipped, "--output", out, "--theta", theta)
+    assert code == 0
+    _, restored = wavfile.read(out)
+    assert restored.dtype == np.float64
+    expected, _ = declip_signal(hard_clip(x, theta), theta, SolverParams())
+    assert restored.tobytes() == expected.tobytes()

@@ -543,3 +543,15 @@ def test_solver_params_validation():
     for field in ("s", "r", "epsilon"):
         with pytest.raises(ValueError, match=field):
             SolverParams(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field,value", [("s", 1.5), ("r", 2.5), ("s", 2.0)])
+def test_solver_params_rejects_a_non_integer_step(field, value):
+    # s counts coefficients and r iterations: an integral float is no exception
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverParams(**{field: value})
+
+
+def test_solver_params_accepts_numpy_integers():
+    params = SolverParams(s=np.int64(2), r=np.int32(3))
+    assert (params.s, params.r) == (2, 3)
