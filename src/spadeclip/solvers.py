@@ -81,6 +81,9 @@ class SolverParams:
 
     def __post_init__(self):
         require_integers(s=self.s, r=self.r)  # k and the schedule count in whole steps
+        # the iteration is chosen by identity: a variant's string would match no member
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
         # `not x >= bound` also rejects NaN
         if not self.s >= 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
@@ -114,8 +117,10 @@ def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of s_vec, zero the rest.
 
     Exact minimizer of ||z - s_vec||^2 over k-sparse z. Ties are broken by
-    keeping the lower index. A 2-D input is thresholded row by row.
+    keeping the lower index. A 2-D input is thresholded row by row. Raises
+    ValueError if k is not an integer (numpy integers pass) or is negative.
     """
+    require_integers(k=k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return _keep_largest(np.array(s_vec), k)

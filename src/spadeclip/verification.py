@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .feasible import ClipModel, detect_masks, hard_clip, project_gamma
-from .frames import FrameOperator, make_frame
+from .frames import FrameOperator, make_frame, require_integers
 from .segmentation import SegmentationPlan
 from .solvers import (
     SolverParams,
@@ -61,8 +61,11 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(n_trials=self.n_trials, seed=self.seed)
         if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
+            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.seed < 0:  # numpy's own error would not name the field
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,12 @@ def test_hard_threshold_k_zero_and_negative():
     assert np.all(hard_threshold(np.array([1.0, 2.0]), 0) == 0)
     with pytest.raises(ValueError):
         hard_threshold(np.array([1.0]), -1)
+    # k counts entries: a float is no count, even an integral one
+    for bad in (2.0, float("nan")):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hard_threshold(np.array([1.0, -3.0, 2.0]), bad)
+    out = hard_threshold(np.array([1.0, -3.0, 2.0]), np.int64(2))
+    np.testing.assert_array_equal(out, [0.0, -3.0, 2.0])
 
 
 def test_hard_threshold_tie_keeps_lower_index():
@@ -550,6 +556,13 @@ def test_solver_params_rejects_a_non_integer_step(field, value):
     # s counts coefficients and r iterations: an integral float is no exception
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         SolverParams(**{field: value})
+
+
+@pytest.mark.parametrize("variant", ["aspade", "sspade-dr", None])
+def test_solver_params_rejects_a_variant_that_is_no_member(variant):
+    # the solver picks its iteration by member: a string would run S-SPADE
+    with pytest.raises(ValueError, match="variant"):
+        SolverParams(variant=variant)
 
 
 def test_solver_params_accepts_numpy_integers():

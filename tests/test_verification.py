@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from spadeclip.cli import main
 from spadeclip.frames import FrameOperator, make_frame
 from spadeclip.solvers import SolverParams, hard_threshold
 from spadeclip.verification import (
@@ -22,9 +23,16 @@ def dense_synthesis_matrix(n, p):
     return DenseFrameOperator(n, p).analysis.conj().T
 
 
-def test_oracle_config_validation():
+def test_oracle_config_validation(capsys):
     with pytest.raises(ValueError):
         OracleConfig(n_trials=0)
+    for field, value in [("n_trials", 2.5), ("n_trials", 2.0), ("seed", -1), ("seed", 1.5)]:
+        with pytest.raises(ValueError, match=field):
+            OracleConfig(**{field: value})
+    assert OracleConfig(n_trials=np.int64(3), seed=np.int32(0)).n_trials == 3
+    assert main(["verify", "--seed", "-1"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: seed")
 
 
 def test_check_report_passes_up_to_its_tolerance():
