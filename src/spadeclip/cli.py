@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -121,16 +122,20 @@ def cmd_declip(args) -> int:
         reports.append(report)
     restored = np.stack(restored, axis=-1).reshape(y.shape)
     write_wav(args.output, rate, _as_written(restored, y, theta))
+    if args.csv:
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                _write_csv(
+                    fh, [_csv_row(args.variant, theta, args.redundancy, r) for r in reports]
+                )
+        except OSError:
+            os.remove(args.output)  # a failing declip leaves neither file
+            raise
     for c, report in enumerate(reports):
         prefix = f"channel {c}: " if len(channels) > 1 else ""
         print(f"{prefix}clipped samples: {report.num_clipped} of {len(y)}")
         for line in report.as_table().splitlines():
             print(prefix + line)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            _write_csv(
-                fh, [_csv_row(args.variant, theta, args.redundancy, r) for r in reports]
-            )
     return EXIT_OK
 
 

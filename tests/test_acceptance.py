@@ -175,7 +175,11 @@ def test_criterion_9_termination(variant):
         op,
         SolverParams(s=2, r=1, epsilon=1e-14, variant=variant),
     )
-    assert capped.converged in (True, False)  # halted either way
+    # k starts at 2 and grows by 2 per iteration: the 32nd, max(1, r * (65 // s)),
+    # takes it to 66, past the 65 coefficients, and stops the solve unconverged
+    assert not capped.converged
+    assert (capped.iterations, capped.final_k) == (32, 66)
+    assert np.isfinite(capped.final_residual)
 
     _, one_shot = run_solver(
         model, op, SolverParams(s=op.coeff_len, epsilon=0.1, variant=variant)

@@ -45,13 +45,6 @@ def test_detect_masks_examples():
     np.testing.assert_array_equal(m3.mask_h, [True])
 
 
-def test_masks_partition():
-    rng = np.random.default_rng(0)
-    m = detect_masks(hard_clip(rng.standard_normal(64), 0.8), 0.8)
-    total = m.mask_r.astype(int) + m.mask_h.astype(int) + m.mask_l.astype(int)
-    assert np.all(total == 1)
-
-
 def test_clip_model_validation():
     y = np.zeros(2)
     with pytest.raises(ValueError):  # bounds of another shape than y
