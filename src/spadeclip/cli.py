@@ -38,7 +38,6 @@ CSV_FIELDS = [
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-len", type=int, default=1024)
     p.add_argument("--hop", type=int, default=256)
-    p.add_argument("--redundancy", type=float, default=2.0)
     p.add_argument("--s", type=int, default=1, help="sparsity step")
     p.add_argument("--r", type=int, default=1, help="iterations between sparsity increments")
     p.add_argument("--epsilon", type=float, default=0.1, help="termination residual")
@@ -111,8 +110,10 @@ def cmd_declip(args) -> int:
     channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
     if args.theta == "auto":
         # the peak over all channels; detection already admits samples within
-        # delta of theta as clipped. A silent file has nothing clipped: inf.
-        theta = float(np.max(np.abs(y))) or np.inf
+        # delta of theta as clipped. A file within delta of silence has
+        # nothing clipped: inf.
+        peak = float(np.max(np.abs(y)))
+        theta = peak if peak > args.delta_detect else np.inf
     else:
         theta = float(args.theta)
     restored, reports = [], []
@@ -194,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta", default="auto", help='clip threshold, or "auto" (the peak |y|)'
     )
     p_declip.add_argument("--csv", help="also write the report as one CSV row")
+    p_declip.add_argument("--redundancy", type=float, default=2.0)
     _add_solver_args(p_declip)
     p_declip.set_defaults(func=cmd_declip)
 

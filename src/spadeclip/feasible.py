@@ -81,18 +81,21 @@ def detect_masks(
     """Classify samples of y against the clip threshold.
 
     Samples within `delta_detect` of +-theta count as clipped; the rest
-    are reliable. Raises ValueError if y holds a NaN or an infinity.
+    are reliable. theta must exceed `delta_detect`, or both bands would
+    hold 0 and every sample would count as clipped. Raises ValueError if y
+    holds a NaN or an infinity.
     """
     if not theta > 0:  # also rejects NaN
         raise ValueError(f"theta must be positive, got {theta}")
     if not delta_detect >= 0:
         raise ValueError(f"delta_detect must be nonnegative, got {delta_detect}")
+    if not theta > delta_detect:
+        raise ValueError(f"theta must exceed delta_detect ({delta_detect}), got {theta}")
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("signal holds non-finite samples (NaN or inf)")
     high = y >= theta - delta_detect
-    # pathological theta <= delta_detect could classify a sample both ways
-    low = (y <= -theta + delta_detect) & ~high
+    low = y <= -theta + delta_detect
     lo = np.where(high, theta, np.where(low, -np.inf, y))
     hi = np.where(high, np.inf, np.where(low, -theta, y))
     return ClipModel(y=y, lo=lo, hi=hi)

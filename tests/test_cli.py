@@ -18,7 +18,7 @@ from scipy.io import wavfile
 
 import spadeclip
 from spadeclip.cli import CSV_FIELDS, main
-from spadeclip.feasible import detect_masks, hard_clip, project_gamma
+from spadeclip.feasible import DEFAULT_DELTA_DETECT, detect_masks, hard_clip, project_gamma
 from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
 from spadeclip.pipeline import declip_signal
@@ -55,15 +55,6 @@ def run_cli(*args):
     return code, buf.getvalue()
 
 
-def test_clip_subcommand(clean_wav, tmp_path):
-    out = tmp_path / "clipped.wav"
-    code, text = run_cli("clip", "--input", clean_wav, "--output", out, "--theta", 0.3)
-    assert code == 0
-    assert "clipped" in text
-    _, y = read_wav(str(out))
-    assert np.max(np.abs(y)) <= 0.3 + 1e-7
-
-
 def test_clip_no_op_above_peak(clean_wav, tmp_path):
     out = tmp_path / "copy.wav"
     code, text = run_cli("clip", "--input", clean_wav, "--output", out, "--theta", 0.9)
@@ -79,86 +70,6 @@ def test_clip_then_detect_recovers_masks(clean_wav, tmp_path):
     model = detect_masks(y, 0.3)
     np.testing.assert_array_equal(model.mask_h, x >= 0.3)
     np.testing.assert_array_equal(model.mask_l, x <= -0.3)
-
-
-@pytest.mark.parametrize("variant", ["aspade", "sspade", "sspade-dr"])
-def test_declip_each_variant(clean_wav, tmp_path, variant):
-    clipped = tmp_path / "clipped.wav"
-    restored = tmp_path / f"restored-{variant}.wav"
-    run_cli("clip", "--input", clean_wav, "--output", clipped, "--theta", 0.3)
-    code, text = run_cli(
-        "declip",
-        "--input", clipped,
-        "--output", restored,
-        "--variant", variant,
-        "--theta", 0.3,
-        "--frame-len", 256,
-        "--hop", 64,
-    )
-    assert code == 0
-    _, y = read_wav(str(clipped))
-    _, out = read_wav(str(restored))
-    model = detect_masks(y, 0.3)
-    np.testing.assert_array_equal(out[model.mask_r], y[model.mask_r].astype(np.float32))
-    assert np.all(out[model.mask_h] >= np.float32(0.3) - 1e-7)
-    assert np.all(out[model.mask_l] <= -np.float32(0.3) + 1e-7)
-
-
-def test_declip_unclipped_file_is_identity(clean_wav, tmp_path):
-    restored = tmp_path / "restored.wav"
-    code, text = run_cli(
-        "declip",
-        "--input", clean_wav,
-        "--output", restored,
-        "--theta", 0.95,
-        "--frame-len", 256,
-        "--hop", 64,
-    )
-    assert code == 0
-    assert "clipped samples: 0" in text
-    rate, out = read_wav(str(restored))
-    _, original = read_wav(str(clean_wav))
-    assert rate == RATE
-    np.testing.assert_array_equal(out, original.astype(np.float32))
-
-
-def test_declip_writes_csv_report(clean_wav, tmp_path):
-    clipped = tmp_path / "clipped.wav"
-    restored = tmp_path / "restored.wav"
-    report = tmp_path / "report.csv"
-    run_cli("clip", "--input", clean_wav, "--output", clipped, "--theta", 0.3)
-    code, _ = run_cli(
-        "declip",
-        "--input", clipped,
-        "--output", restored,
-        "--theta", 0.3,
-        "--frame-len", 256,
-        "--hop", 64,
-        "--csv", report,
-    )
-    assert code == 0
-    with open(report) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    assert list(rows[0]) == CSV_FIELDS
-
-
-def test_declip_deterministic(clean_wav, tmp_path):
-    clipped = tmp_path / "clipped.wav"
-    run_cli("clip", "--input", clean_wav, "--output", clipped, "--theta", 0.3)
-    outs = []
-    for name in ("a.wav", "b.wav"):
-        out = tmp_path / name
-        run_cli(
-            "declip",
-            "--input", clipped,
-            "--output", out,
-            "--theta", 0.3,
-            "--frame-len", 256,
-            "--hop", 64,
-        )
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_declip_missing_input(tmp_path):
@@ -290,6 +201,13 @@ def test_bench_rejects_non_finite_redundancy(clean_wav, tmp_path, capsys, value)
     assert capsys.readouterr().err.startswith("error: redundancy")
 
 
+def test_bench_has_no_redundancy_option(clean_wav):
+    # bench reads only --redundancies
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--input", clean_wav, "--redundancy", 1)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "option,value",
     [
@@ -373,23 +291,6 @@ def test_verify_subcommand_passes():
             "unitary variant equivalence",
         )
     ]
-
-
-def test_pcm16_and_stereo_ingestion(tmp_path):
-    x = sparse_signal(512, amp=0.5)
-    pcm = (x * 32768).astype(np.int16)
-    mono = tmp_path / "mono16.wav"
-    wavfile.write(mono, RATE, pcm)
-    _, loaded = read_wav(str(mono))
-    np.testing.assert_allclose(loaded, pcm / 32768.0, atol=0)
-
-    # channels are kept, one column each, not downmixed
-    both = np.stack([pcm, -pcm], axis=1)
-    stereo = tmp_path / "stereo.wav"
-    wavfile.write(stereo, RATE, both)
-    _, loaded = read_wav(str(stereo))
-    assert loaded.shape == (512, 2)
-    np.testing.assert_array_equal(loaded, both / 32768.0)
 
 
 # left and right channels on the grid every PCM width represents exactly
@@ -528,15 +429,22 @@ def test_declip_theta_auto_on_silence(tmp_path, channels):
     assert rows["auto"] == rows["inf"]
 
 
-def test_clip_clips_every_channel(tmp_path):
-    x = np.stack([sparse_signal(512), -0.5 * sparse_signal(512)], axis=1).astype(np.float32)
-    src = tmp_path / "stereo.wav"
-    wavfile.write(src, RATE, x)
-    out = tmp_path / "clipped.wav"
-    code, _ = run_cli("clip", "--input", src, "--output", out, "--theta", 0.3)
+def test_declip_of_a_file_within_delta_of_silence(tmp_path, capsys):
+    # 24-bit dither of +-3 LSB peaks at 3.6e-7, below the default delta of 1e-6:
+    # auto takes theta = inf, and an explicit theta within delta is refused
+    lsb = np.random.default_rng(0).integers(-3, 4, size=(4000, 1))
+    src, out = tmp_path / "dither24.wav", tmp_path / "out.wav"
+    write_pcm(src, 24, lsb / 2**23)
+    _, y = read_wav(str(src))
+    code, text = run_cli("declip", "--input", src, "--output", out)
     assert code == 0
-    _, y = read_wav(str(out))
-    np.testing.assert_array_equal(y, np.clip(x, -0.3, 0.3).astype(np.float32))
+    assert "clipped samples: 0 of 4000" in text
+    assert read_wav(str(out))[1].tobytes() == y.tobytes()
+    out.unlink()
+    code, _ = run_cli("declip", "--input", src, "--output", out, "--theta", 5e-7)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: theta must exceed delta_detect")
+    assert not out.exists()
 
 
 def test_bench_rejects_multichannel_reference(tmp_path, capsys):
@@ -755,7 +663,9 @@ def test_declip_wav_keeps_the_invariants(case):
         assert raw.dtype == np.float32
     assert restored.shape == y.shape
     assert np.all(np.isfinite(restored))
-    theta = (float(np.max(np.abs(y))) or np.inf) if theta_arg == "auto" else float(theta_arg)
+    peak = float(np.max(np.abs(y)))
+    auto = peak if peak > DEFAULT_DELTA_DETECT else np.inf  # within delta of silence: inf
+    theta = auto if theta_arg == "auto" else float(theta_arg)
     for channel, out_channel in zip(np.atleast_2d(y.T), np.atleast_2d(restored.T)):
         reliable = detect_masks(channel, theta).mask_r
         # compared in float64, bit for bit

@@ -79,8 +79,9 @@ def _projection_reference(v, y, theta, delta):
 
 @st.composite
 def _box_case(draw):
-    """Random y, theta and delta (including theta <= delta), one frame or a
-    batch, and a v that often ties y, -y or a threshold (signed zeros too)."""
+    """Random y, theta and delta (half the time theta <= delta, which
+    `detect_masks` refuses), one frame or a batch, and a v that often ties
+    y, -y or a threshold (signed zeros too)."""
     rows = draw(st.sampled_from([None, 1, 3]))
     n = draw(st.integers(1, 16))
     shape = (n,) if rows is None else (rows, n)
@@ -100,6 +101,8 @@ def _box_case(draw):
 @given(_box_case())
 def test_project_gamma_equals_three_mask_formula_bitwise(case):
     y, theta, delta, v = case
+    if theta <= delta:
+        return  # refused: test_derived_masks_partition_and_match_thresholds
     out = project_gamma(v, detect_masks(y, theta, delta))
     expected = _projection_reference(v, y, theta, delta)
     np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
@@ -108,6 +111,10 @@ def test_project_gamma_equals_three_mask_formula_bitwise(case):
 @given(_box_case())
 def test_derived_masks_partition_and_match_thresholds(case):
     y, theta, delta, _ = case
+    if theta <= delta:  # both bands would hold 0: every sample would count as clipped
+        with pytest.raises(ValueError, match="theta must exceed delta_detect"):
+            detect_masks(y, theta, delta)
+        return
     m = detect_masks(y, theta, delta)
     total = m.mask_r.astype(int) + m.mask_h.astype(int) + m.mask_l.astype(int)
     assert np.all(total == 1)

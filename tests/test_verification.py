@@ -5,13 +5,12 @@ import pytest
 
 from spadeclip.cli import main
 from spadeclip.frames import FrameOperator, make_frame
-from spadeclip.solvers import SolverParams, hard_threshold
+from spadeclip.solvers import SolverParams
 from spadeclip.verification import (
     CheckReport,
     DenseFrameOperator,
     OracleConfig,
     brute_force_sparse_ls,
-    check_projection_transposition,
     check_unitary_equivalence,
     make_test_model,
     run_all_checks,
@@ -38,13 +37,6 @@ def test_check_report_passes_up_to_its_tolerance():
     assert CheckReport("c", 1e-9, 1e-9).passed
     assert not CheckReport("c", 2e-9, 1e-9).passed
     assert not CheckReport("c", float("nan"), 1e-9).passed
-
-
-def test_dense_matrices_form_a_tight_frame():
-    a = DenseFrameOperator(6, 12).analysis
-    assert a.shape == (7, 6)  # bins 0..6 of a length-12 DFT
-    # Parseval under the real inner product: Re(D A) = I
-    assert np.max(np.abs(np.real(a.conj().T @ a) - np.eye(6))) < 1e-12
 
 
 def test_dense_operator_is_a_frame_operator_storing_no_length():
@@ -81,50 +73,12 @@ def test_brute_force_k_zero():
     assert obj == pytest.approx(np.linalg.norm(t) ** 2)
 
 
-def test_brute_force_unitary_matches_hard_threshold():
-    # on a unitary half frame, keeping the k largest bins is the optimal
-    # k-pair approximation; synthesis takes the real part
-    rng = np.random.default_rng(0)
-    for n in (7, 8):
-        d = dense_synthesis_matrix(n, n)
-        for _ in range(5):
-            t = rng.standard_normal(n)
-            c = d.conj().T @ t
-            for k in (1, 2, 3):
-                _, _, obj = brute_force_sparse_ls(d, t, k)
-                obj_h = np.linalg.norm(np.real(d @ hard_threshold(c, k)) - t) ** 2
-                assert obj == pytest.approx(obj_h, abs=1e-10)
-
-
-def test_brute_force_redundant_bounds_thresholding_approximation():
-    rng = np.random.default_rng(1)
-    d = dense_synthesis_matrix(4, 8)
-    for _ in range(10):
-        t = rng.standard_normal(4)
-        c = d.conj().T @ t
-        approx = hard_threshold(c, 2)
-        _, _, obj = brute_force_sparse_ls(d, t, 2)
-        time_err = np.linalg.norm(np.real(d @ approx) - t)
-        coef_err = np.linalg.norm(approx - c)
-        assert obj <= time_err**2 + 1e-12
-        assert time_err <= coef_err + 1e-12
-
-
 def test_brute_force_size_limits():
     d = dense_synthesis_matrix(8, 32)
     with pytest.raises(ValueError):
         brute_force_sparse_ls(d, np.zeros(8), 2)  # p = 17 > 14
     with pytest.raises(ValueError):
         brute_force_sparse_ls(d[:, :8], np.zeros(8), 4)  # k > 3
-
-
-def test_check_projection_transposition_unitary_and_redundant():
-    config = OracleConfig(n_trials=100, seed=4)
-    for n, red, kind in [(16, 1, "unitary"), (8, 2, "redundant")]:
-        model = make_test_model(n=n, harmonics=(1, 3), amps=(1.0, 0.5), phases=(0.2, 1.4))
-        report = check_projection_transposition(make_frame(n, red), model, config)
-        assert report.passed, report.line()
-        assert report.name == f"projection transposition ({kind})"
 
 
 def test_projection_transposition_degenerate_range_component():
@@ -137,10 +91,10 @@ def test_projection_transposition_degenerate_range_component():
         assert np.linalg.norm(resid) <= 1e-10
 
 
-@pytest.mark.parametrize("n,s", [(63, 1), (64, 1), (63, 2)])
+@pytest.mark.parametrize("n,s", [(63, 2)])
 def test_unitary_equivalence_any_sparsity_step(n, s):
-    # k counts conjugate pairs, so an odd k splits none: s = 1 works on an
-    # odd and an even length alike (n = 64, s = 2 is acceptance criterion 5)
+    # an even step on an odd length; s = 1 on n 63 and 64 is `verify`'s
+    # "unitary variant equivalence" line, n = 64, s = 2 acceptance criterion 5
     dev = check_unitary_equivalence(make_test_model(n=n), SolverParams(s=s, r=1), 200)
     assert dev <= 1e-9
 
@@ -168,6 +122,7 @@ def test_run_all_checks_seed_changes_values_not_outcomes():
     assert all(r.passed for r in a)
     assert all(r.passed for r in b)
     assert [r.name for r in a] == [r.name for r in b]
+    assert [r.max_deviation for r in a] != [r.max_deviation for r in b]
 
 
 def test_run_all_checks_single_trial_runs_every_family():
