@@ -37,8 +37,10 @@ def declip_signal(
     against `reference` when given (clip-simulation experiments),
     otherwise against the observation itself, which makes the input-SDR
     field infinite. A `y` that is empty or not one-dimensional, or a
-    `reference` of another shape or holding a NaN or an infinity, raises a
-    ValueError before any work.
+    `reference` of another shape, holding a NaN or an infinity, or
+    all-zero while `y` is not (no SDR against it is defined), raises a
+    ValueError before any work. A silent `y` with a silent reference
+    gives infinite SDRs.
 
     Every frame goes to one `solve_batch` call, which passes the frames
     with no clipped sample through with 0 iterations. Reliable samples of
@@ -56,6 +58,8 @@ def declip_signal(
         raise ValueError(f"reference has shape {ref.shape}, y has shape {y.shape}")
     if not np.all(np.isfinite(ref)):
         raise ValueError("reference holds non-finite samples (NaN or inf)")
+    if not ref.any() and y.any():
+        raise ValueError("reference is all-zero but y is not: its SDR is undefined")
     t0 = time.perf_counter()
     model = detect_masks(y, theta, delta_detect)
     plan = SegmentationPlan(len(y), frame_len, hop)

@@ -29,9 +29,9 @@ point of every variant, so both pass it through with 0 iterations.
 Each variant's iteration is written once, as a kernel that advances a
 `SolverState` in place: apart from the two transforms, whose outputs the
 kernel adopts, an iteration writes into the buffers of its own state
-that it has used up. `solve_batch` advances one state per batch and
-compacts it only when frames retire. The public `step` advances a copy
-of its state, so it leaves its input untouched; `hard_threshold` and
+that it has used up. `step` runs one kernel call in place and returns
+None; `solve_batch` is `init_state` plus a loop of `step` calls over one
+state per batch, compacted only when frames retire. `hard_threshold` and
 `project_gamma` run the in-place helpers the kernels call.
 """
 
@@ -97,8 +97,8 @@ class SolverParams:
 class SolverState:
     """One iteration's variables. `i` counts completed iterations.
 
-    The solver advances a state in place, so the class is not frozen;
-    `step` returns a new state and leaves its input as it was. `w` is the
+    `step` advances a state in place, so the class is not frozen; a caller
+    that needs an earlier value copies it before the step. `w` is the
     coefficient iterate of ASPADE and SSPADE_ORIG, None for SSPADE_DR. For
     a batch, the arrays have a leading frame axis and `residual` holds one
     value per frame; `k` and `i` are shared by the batch.
@@ -118,12 +118,16 @@ def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
 
     Exact minimizer of ||z - s_vec||^2 over k-sparse z. Ties are broken by
     keeping the lower index. A 2-D input is thresholded row by row. Raises
-    ValueError if k is not an integer (numpy integers pass) or is negative.
+    ValueError if k is not an integer (numpy integers pass) or is negative,
+    or if s_vec is a scalar, which has no entries to count.
     """
     require_integers(k=k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    return _keep_largest(np.array(s_vec), k)
+    s = np.array(s_vec)
+    if s.ndim == 0:
+        raise ValueError(f"s_vec must have at least one axis, got the scalar {s_vec!r}")
+    return _keep_largest(s, k)
 
 
 def _keep_largest(s: np.ndarray, k: int) -> np.ndarray:
@@ -166,19 +170,6 @@ def _norm(a: np.ndarray):
     flat = np.ascontiguousarray(a).view(float)
     out = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     return float(out) if out.ndim == 0 else out
-
-
-def _select_rows(state: SolverState, pick) -> SolverState:
-    """The state with `pick` applied to each of its arrays.
-
-    `pick` selects rows of a batch (`lambda a: a[rows]`) or copies
-    (`np.array`). `k`, `i` and `residual` carry over as they are; the
-    next `_advance` sets the residual.
-    """
-    w = None if state.w is None else pick(state.w)
-    return SolverState(
-        pick(state.x_hat), pick(state.z_bar), pick(state.u), state.k, state.i, state.residual, w
-    )
 
 
 def _coef_kernel(state: SolverState, model: ClipModel, op: FrameOperator, aspade: bool):
@@ -227,7 +218,7 @@ def _dr_kernel(state: SolverState, model: ClipModel, op: FrameOperator):
     return _norm(np.subtract(dz, x, out=dz))
 
 
-def _advance(state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams):
+def step(state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams) -> None:
     """One iteration of params' variant on state, in place.
 
     Runs the variant's kernel at the state's k, then sets the residual and
@@ -240,18 +231,6 @@ def _advance(state: SolverState, model: ClipModel, op: FrameOperator, params: So
     state.i += 1
     if state.i % params.r == 0:
         state.k += params.s
-
-
-def step(
-    state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams
-) -> SolverState:
-    """Advance one iteration of the variant selected in params.
-
-    The state passed in is left as it was: a copy of it is advanced.
-    """
-    new = _select_rows(state, np.array)
-    _advance(new, model, op, params)
-    return new
 
 
 def solve_batch(
@@ -280,7 +259,7 @@ def solve_batch(
     state = init_state(model, op, params)
     while rows.size:
         k = state.k
-        _advance(state, model, op, params)
+        step(state, model, op, params)
         done = state.residual <= params.epsilon
         retired = done | (state.k > op.coeff_len)
         if retired.any():
@@ -290,7 +269,10 @@ def solve_batch(
                 stats[m] = FrameStats(state.i, float(res), k if c else state.k, bool(c))
             stay = ~retired
             rows = rows[stay]
-            state = _select_rows(state, lambda a: a[stay])
+            # `k` and `i` are shared; the next step sets the residual
+            state.x_hat, state.z_bar, state.u = state.x_hat[stay], state.z_bar[stay], state.u[stay]
+            if state.w is not None:
+                state.w = state.w[stay]
             model = model.select(stay)
     return restored, stats
 

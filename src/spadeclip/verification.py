@@ -273,7 +273,7 @@ def check_unitary_equivalence(
     max_dev = 0.0
     for _ in range(n_iters):
         for v in Variant:
-            states[v] = step(states[v], model, op, replace(lockstep, variant=v))
+            step(states[v], model, op, replace(lockstep, variant=v))
         x_ref = states[Variant.ASPADE].x_hat
         for v in (Variant.SSPADE_ORIG, Variant.SSPADE_DR):
             max_dev = max(max_dev, float(np.linalg.norm(states[v].x_hat - x_ref)))

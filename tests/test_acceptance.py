@@ -111,7 +111,7 @@ def test_criterion_6_synthesis_approximation_bound():
     worst = -np.inf
     for _ in range(500):
         target = state.x_hat - state.u
-        state = step(state, model, op, params)
+        step(state, model, op, params)
         time_err = np.linalg.norm(op.synthesize(state.z_bar) - target)
         coef_err = np.linalg.norm(state.z_bar - op.analyze(target))
         worst = max(worst, time_err - coef_err)
@@ -181,9 +181,12 @@ def test_criterion_9_termination(variant):
     assert (capped.iterations, capped.final_k) == (32, 66)
     assert np.isfinite(capped.final_residual)
 
-    _, one_shot = run_solver(
+    # at k = coeff_len nothing is thresholded away: the first iterate is y to rounding
+    restored, one_shot = run_solver(
         model, op, SolverParams(s=op.coeff_len, epsilon=0.1, variant=variant)
     )
     assert one_shot.converged
     assert one_shot.iterations == 1
+    assert one_shot.final_residual <= 1e-10
+    np.testing.assert_allclose(restored, model.y, atol=1e-10)
     announce(f"9 termination [{variant.value}]")

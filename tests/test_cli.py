@@ -24,7 +24,7 @@ from spadeclip.metrics import sdr
 from spadeclip.pipeline import declip_signal
 from spadeclip.segmentation import SegmentationPlan, overlap_add
 from spadeclip.solvers import SolverParams, Variant, run_solver
-from spadeclip.verification import restrict_model
+from spadeclip.verification import CheckReport, restrict_model
 from spadeclip.wavio import read_wav, write_wav
 
 RATE = 8000
@@ -293,6 +293,18 @@ def test_verify_subcommand_passes():
     ]
 
 
+def test_verify_exits_1_on_a_check_over_its_tolerance(monkeypatch):
+    import spadeclip.cli
+
+    def one_failing_check(config):
+        return [CheckReport("scaled-form identity", 2e-12, 1e-12)]
+
+    monkeypatch.setattr(spadeclip.cli, "run_all_checks", one_failing_check)
+    code, text = run_cli("verify")
+    assert code == 1
+    assert text.startswith("FAIL  scaled-form identity")
+
+
 # left and right channels on the grid every PCM width represents exactly
 GRID = np.array([[-1.0, 0.25], [-0.5, 0.0], [0.0, -0.5], [0.25, -1.0]])
 
@@ -489,7 +501,8 @@ def test_library_and_verify_load_no_scipy():
 @pytest.mark.parametrize(
     "module",
     ["spadeclip", "spadeclip.segmentation", "spadeclip.metrics", "spadeclip.feasible",
-     "spadeclip.solvers", "spadeclip.verification"],
+     "spadeclip.solvers", "spadeclip.verification", "spadeclip.frames",
+     "spadeclip.pipeline", "spadeclip.wavio"],
 )  # fmt: skip
 def test_every_export_resolves(module):
     mod = importlib.import_module(module)
@@ -505,6 +518,12 @@ def test_declip_signal_sdr_fields_against_reference():
     assert np.isfinite(report.sdr_on_clipped_samples)
     assert report.sdr_restored == sdr(x, restored)
     assert report.sdr_clipped_input == sdr(x, y)
+    # a silent y matches a silent reference exactly: every SDR is inf
+    _, silent = declip_signal(
+        np.zeros(512), 0.4, SolverParams(), frame_len=256, hop=64, reference=np.zeros(512)
+    )
+    assert silent.sdr_clipped_input == silent.sdr_restored == np.inf
+    assert silent.sdr_on_clipped_samples == np.inf
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -554,6 +573,9 @@ def test_declip_signal_rejects_a_reference_of_another_shape(monkeypatch):
     y = np.clip(x, -0.4, 0.4)
     with pytest.raises(ValueError, match=r"reference has shape \(511,\), y has shape \(512,\)"):
         declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=x[:-1])
+    # no SDR against a silent reference is defined unless y is silent too
+    with pytest.raises(ValueError, match="reference is all-zero but y is not"):
+        declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=np.zeros(512))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
