@@ -11,14 +11,7 @@ from .frames import FrameOperator, make_frame
 from .metrics import DeclipReport, FrameStats, sdr
 from .pipeline import declip_signal
 from .segmentation import SegmentationPlan, overlap_add, restrict_frames
-from .solvers import (
-    SolverParams,
-    SolverState,
-    Variant,
-    hard_threshold,
-    run_solver,
-    solve_batch,
-)
+from .solvers import SolverParams, SolverState, Variant, hard_threshold, solve_batch
 
 __all__ = [
     "ClipModel",
@@ -37,7 +30,6 @@ __all__ = [
     "overlap_add",
     "project_gamma",
     "restrict_frames",
-    "run_solver",
     "sdr",
     "solve_batch",
 ]

@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_declip.add_argument(
         "--theta", default="auto", help='clip threshold, or "auto" (the peak |y|)'
     )
-    p_declip.add_argument("--csv", help="also write the report as one CSV row")
+    p_declip.add_argument("--csv", help="also write the report as CSV, one row per channel")
     p_declip.add_argument("--redundancy", type=float, default=2.0)
     _add_solver_args(p_declip)
     p_declip.set_defaults(func=cmd_declip)

@@ -64,7 +64,10 @@ class ClipModel:
         return int(np.count_nonzero(self.lo != self.hi))
 
     def select(self, rows) -> ClipModel:
-        """The model of the chosen frames of a batch (boolean or index rows)."""
+        """The model of the chosen frames of a batch (boolean or index rows).
+
+        `np.newaxis` makes a one-frame model a batch of one.
+        """
         return ClipModel(self.y[rows], self.lo[rows], self.hi[rows])
 
 

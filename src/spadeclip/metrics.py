@@ -14,7 +14,8 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
 
     Returns +inf when the estimate matches the reference exactly, an
     all-zero one included; any other estimate of an all-zero reference
-    raises. No alignment or scaling is applied.
+    raises. No alignment or gain is fitted. The value does not depend on
+    the signals' level: sdr(x * 2**k, y * 2**k) == sdr(x, y) bit for bit.
     """
     reference = np.asarray(reference, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
@@ -22,6 +23,11 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
         raise ValueError(
             f"length mismatch: {reference.shape} vs {estimate.shape}"
         )
+    # one power of two, from the reference's peak, scales both exactly, so the
+    # squares inside the norms neither overflow nor underflow at extreme levels
+    _, exp = np.frexp(np.max(np.abs(reference), initial=0.0))
+    reference = np.ldexp(reference, -exp)
+    estimate = np.ldexp(estimate, -exp)
     err_norm = np.linalg.norm(reference - estimate)
     if err_norm == 0:
         return np.inf
@@ -74,5 +80,5 @@ class DeclipReport:
 
 
 def _fmt_db(value: float) -> str:
-    # "inf" literal doubles as the CSV sentinel for exact recovery
-    return "inf" if np.isinf(value) else f"{value:.2f} dB"
+    # a bare "inf" means exact recovery, so -inf keeps its sign and its unit
+    return "inf" if value == np.inf else f"{value:.2f} dB"

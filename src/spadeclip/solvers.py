@@ -19,20 +19,22 @@ The penalty parameter of the underlying augmented Lagrangian scales both
 indicator-constrained subproblems without moving their minimizers, so it
 never appears here.
 
-Every step works on one frame or on a batch of frames stacked along a
-leading axis. The sparsity schedule does not depend on the frame, so all
-frames of a batch share k; `solve_batch` runs one loop over the batch and
-`run_solver` is its single-frame case. Both return the restored samples
-and a `FrameStats` per frame. A frame with no clipped sample is a fixed
-point of every variant, so both pass it through with 0 iterations.
+`solve_batch` is the one solve driver: it solves frames stacked along a
+leading axis and returns the restored samples and a `FrameStats` per
+frame. One frame is a batch of one, `model.select(np.newaxis)`. The
+sparsity schedule does not depend on the frame, so all frames of a batch
+share k. A frame with no clipped sample is a fixed point of every
+variant, so `solve_batch` passes it through with 0 iterations.
 
 Each variant's iteration is written once, as a kernel that advances a
 `SolverState` in place: apart from the two transforms, whose outputs the
 kernel adopts, an iteration writes into the buffers of its own state
-that it has used up. `step` runs one kernel call in place and returns
-None; `solve_batch` is `init_state` plus a loop of `step` calls over one
-state per batch, compacted only when frames retire. `hard_threshold` and
-`project_gamma` run the in-place helpers the kernels call.
+that it has used up. `init_state` and `step` are the stepping interface,
+on one frame or a batch; the lockstep oracle and the tests use them.
+`step` runs one kernel call in place and returns None; `solve_batch` is
+`init_state` plus a loop of `step` calls over one state per batch,
+compacted only when frames retire. `hard_threshold` and `project_gamma`
+run the in-place helpers the kernels call.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "init_state",
     "step",
     "solve_batch",
-    "run_solver",
 ]
 
 
@@ -117,9 +118,10 @@ def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of s_vec, zero the rest.
 
     Exact minimizer of ||z - s_vec||^2 over k-sparse z. Ties are broken by
-    keeping the lower index. A 2-D input is thresholded row by row. Raises
-    ValueError if k is not an integer (numpy integers pass) or is negative,
-    or if s_vec is a scalar, which has no entries to count.
+    keeping the lower index. Any array is thresholded along its last axis,
+    so each row of a batch keeps its own k entries. Raises ValueError if k
+    is not an integer (numpy integers pass) or is negative, or if s_vec is
+    a scalar, which has no entries to count.
     """
     require_integers(k=k)
     if k < 0:
@@ -276,10 +278,3 @@ def solve_batch(
             model = model.select(stay)
     return restored, stats
 
-
-def run_solver(
-    model: ClipModel, op: FrameOperator, params: SolverParams
-) -> tuple[np.ndarray, FrameStats]:
-    """Solve one frame: `solve_batch` on a batch of one."""
-    x, (stats,) = solve_batch(model.select(np.newaxis), op, params)
-    return x[0], stats

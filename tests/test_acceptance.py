@@ -18,7 +18,7 @@ from spadeclip.solvers import (
     Variant,
     hard_threshold,
     init_state,
-    run_solver,
+    solve_batch,
     step,
 )
 from spadeclip.verification import (
@@ -170,8 +170,8 @@ def test_criterion_9_termination(variant):
     y = hard_clip(rng.standard_normal(64), 0.4)  # non-sparse: forces the cap
     model = detect_masks(y, 0.4, 0.0)
     op = make_frame(64, 2)
-    _, capped = run_solver(
-        model,
+    _, (capped,) = solve_batch(
+        model.select(np.newaxis),
         op,
         SolverParams(s=2, r=1, epsilon=1e-14, variant=variant),
     )
@@ -182,8 +182,8 @@ def test_criterion_9_termination(variant):
     assert np.isfinite(capped.final_residual)
 
     # at k = coeff_len nothing is thresholded away: the first iterate is y to rounding
-    restored, one_shot = run_solver(
-        model, op, SolverParams(s=op.coeff_len, epsilon=0.1, variant=variant)
+    (restored,), (one_shot,) = solve_batch(
+        model.select(np.newaxis), op, SolverParams(s=op.coeff_len, epsilon=0.1, variant=variant)
     )
     assert one_shot.converged
     assert one_shot.iterations == 1

@@ -23,7 +23,7 @@ from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
 from spadeclip.pipeline import declip_signal
 from spadeclip.segmentation import SegmentationPlan, overlap_add
-from spadeclip.solvers import SolverParams, Variant, run_solver
+from spadeclip.solvers import SolverParams, Variant, solve_batch
 from spadeclip.verification import CheckReport, restrict_model
 from spadeclip.wavio import read_wav, write_wav
 
@@ -589,7 +589,7 @@ def test_declip_signal_rejects_a_non_finite_reference(bad):
 
 
 def test_pipeline_batch_equals_frames_solved_alone():
-    # the batched solve gives each frame exactly what run_solver gives it alone
+    # the batched solve gives each frame exactly what it gets solved alone, as a batch of one
     x = sparse_signal(1024)
     x[300:700] *= 0.3  # a quiet stretch: some frames hold no clipped sample
     y = np.clip(x, -0.4, 0.4)
@@ -600,12 +600,12 @@ def test_pipeline_batch_equals_frames_solved_alone():
         params = SolverParams(variant=variant)
         batched, report = declip_signal(y, 0.4, params, frame_len=256, hop=64)
         alone = [
-            run_solver(restrict_model(model, m, plan), op, params)
+            solve_batch(restrict_model(model, m, plan).select(np.newaxis), op, params)
             for m in range(plan.num_frames)
         ]
-        expected = project_gamma(overlap_add(np.array([x for x, _ in alone]), plan), model)
+        expected = project_gamma(overlap_add(np.array([out[0] for out, _ in alone]), plan), model)
         np.testing.assert_array_equal(batched, expected)
-        assert report.per_frame == [stats for _, stats in alone]
+        assert report.per_frame == [stats[0] for _, stats in alone]
         assert 0 < sum(f.iterations == 0 for f in report.per_frame) < plan.num_frames
 
 

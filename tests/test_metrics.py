@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ def test_sdr_errors():
         sdr(np.zeros(3), np.ones(3))
 
 
+def test_sdr_does_not_depend_on_the_level():
+    # a power of two scales exactly, so the SDR must not move by one bit; unscaled,
+    # the squares inside the norms overflow near 2**512 and underflow near 2**-537
+    x = np.sin(0.1 * np.arange(1000))
+    y = np.clip(x, -0.5, 0.5)
+    expected = sdr(x, y)
+    assert expected == pytest.approx(7.614125225287386, abs=1e-12)
+    for k in range(-1000, 1001):
+        assert sdr(np.ldexp(x, k), np.ldexp(y, k)) == expected, k
+
+
 def test_sdr_no_hidden_alignment():
     val = sdr(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert val == pytest.approx(20 * np.log10(1 / np.sqrt(2)), abs=1e-6)
@@ -35,5 +48,8 @@ def test_report_table_and_mean_iterations():
     )
     assert report.mean_iterations == 15.0
     table = report.as_table()
-    assert "inf" in table
+    assert "SDR of restoration   : inf\n" in table  # exact recovery
     assert "12.25" in table
+    # -inf is the opposite of exact recovery: it keeps its sign and its unit
+    worst = replace(report, sdr_clipped_input=-np.inf).as_table()
+    assert "SDR of clipped input : -inf dB\n" in worst

@@ -12,7 +12,6 @@ from spadeclip.solvers import (
     Variant,
     hard_threshold,
     init_state,
-    run_solver,
     solve_batch,
     step,
 )
@@ -219,9 +218,6 @@ def test_solvers_leave_the_model_untouched(variant, batch):
     assert_untouched("step")
     solve_batch(model if batch else model.select(np.newaxis), op, params)
     assert_untouched("solve_batch")
-    if not batch:
-        run_solver(model, op, params)
-        assert_untouched("run_solver")
 
 
 def _solve_by_steps(model, op, params):
@@ -266,7 +262,7 @@ def test_solve_batch_equals_a_loop_of_public_steps(variant, redundancy):
     assert len({f.iterations for f in stats[:-1]}) >= 3
 
 
-# ---------------------------------------------------------------- run_solver
+# ---------------------------------------------------------------- solve_batch
 
 
 PINNED_PHASES = (0.2, 1.0, 2.1)
@@ -324,7 +320,7 @@ def test_run_solver_capped_returns_last_iterate(variant):
     model = detect_masks(y, 0.4, 0.0)
     op = make_frame(16, 1)
     params = SolverParams(s=1, r=1, epsilon=0.0, variant=variant)
-    x, stats = run_solver(model, op, params)
+    (x,), (stats,) = solve_batch(model.select(np.newaxis), op, params)
     state = init_state(model, op, params)
     while state.k <= op.coeff_len:
         step(state, model, op, params)
@@ -339,7 +335,8 @@ def test_run_solver_output_feasible_exactly(variant):
     model = make_test_model()
     theta = np.max(np.abs(model.y))  # the instance's clip level
     op = make_frame(64, 2)
-    x, _ = run_solver(model, op, SolverParams(epsilon=0.1, variant=variant))
+    params = SolverParams(epsilon=0.1, variant=variant)
+    (x,), _ = solve_batch(model.select(np.newaxis), op, params)
     np.testing.assert_array_equal(x[model.mask_r], model.y[model.mask_r])
     assert np.all(x[model.mask_h] >= theta)
     assert np.all(x[model.mask_l] <= -theta)
