@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +24,35 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
         raise ValueError(
             f"length mismatch: {reference.shape} vs {estimate.shape}"
         )
-    # one power of two, from the reference's peak, scales both exactly, so the
-    # squares inside the norms neither overflow nor underflow at extreme levels
-    _, exp = np.frexp(np.max(np.abs(reference), initial=0.0))
-    reference = np.ldexp(reference, -exp)
-    estimate = np.ldexp(estimate, -exp)
-    err_norm = np.linalg.norm(reference - estimate)
+    # one scratch array: the error, then the scaled reference
+    with np.errstate(over="ignore"):  # an error past the float range is redone below
+        work = np.subtract(reference, estimate, out=np.empty_like(reference))
+        err_norm, err_exp = _scaled_norm(work, out=work)
+    if err_norm == np.inf:  # the halves' difference fits
+        np.subtract(np.ldexp(reference, -1), np.ldexp(estimate, -1), out=work)
+        err_norm, err_exp = _scaled_norm(work, out=work)
+        err_exp += 1
     if err_norm == 0:
         return np.inf
-    ref_norm = np.linalg.norm(reference)
+    ref_norm, ref_exp = _scaled_norm(reference, out=work)
     if ref_norm == 0:
         raise ValueError("reference signal is all-zero")
-    return float(20 * np.log10(ref_norm / err_norm))
+    return 20 * (math.log10(ref_norm / err_norm) + (ref_exp - err_exp) * math.log10(2))
+
+
+def _scaled_norm(x: np.ndarray, out: np.ndarray) -> tuple[float, int]:
+    """(||x|| / 2**exp, exp) for the exp that brings the peak of |x| into [0.5, 1).
+
+    |x| scaled by that power of two is written to `out`. The scaling is
+    exact, so no square inside the norm overflows or underflows, whatever
+    the level of x.
+    """
+    scaled = np.abs(x, out=out)
+    _, exp = math.frexp(scaled.max(initial=0.0))
+    exp = max(exp, -1023)  # 2.0**1023 is the largest power of two a float holds
+    scaled *= 2.0**-exp
+    scaled = scaled.ravel()
+    return math.sqrt(scaled.dot(scaled)), exp
 
 
 @dataclass(frozen=True)

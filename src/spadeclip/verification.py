@@ -9,12 +9,11 @@ tests projection optimality against random feasible candidates, and
 Checks are deterministic given the seed and are driven both by the test
 suite and the `verify` CLI subcommand.
 
-The module also holds plain references that the package itself does not
-call: `restrict_model` slices one frame's clip model, as `restrict_frames`
-gathers every frame at once, and `project_gamma_coef` is S-SPADE's
-coefficient projection, which the solvers' shared coefficient kernel
-computes inline so that its projected synthesis doubles as the
-time-domain estimate.
+The module also holds a plain reference that the package itself does not
+call: `project_gamma_coef` is S-SPADE's coefficient projection, which the
+solvers' shared coefficient kernel computes inline so that its projected
+synthesis doubles as the time-domain estimate. One frame's clip model is
+`restrict_frames(model, plan).select(m)`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 
 from .feasible import ClipModel, detect_masks, hard_clip, project_gamma
 from .frames import FrameOperator, make_frame, require_integers
-from .segmentation import SegmentationPlan
 from .solvers import (
     SolverParams,
     Variant,
@@ -39,7 +37,6 @@ __all__ = [
     "OracleConfig",
     "CheckReport",
     "DenseFrameOperator",
-    "restrict_model",
     "project_gamma_coef",
     "brute_force_sparse_ls",
     "check_scaled_form",
@@ -110,25 +107,6 @@ class DenseFrameOperator(FrameOperator):
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         return np.real(np.asarray(c, dtype=complex) @ self.analysis.conj())
-
-
-def restrict_model(
-    model: ClipModel, frame_index: int, plan: SegmentationPlan
-) -> ClipModel:
-    """Clip model for one frame: y and the global bounds restricted to its range.
-
-    Tail-padding samples beyond the signal are reliable with y = 0.
-    """
-    if not 0 <= frame_index < plan.num_frames:
-        raise ValueError(f"frame index {frame_index} out of range")
-    n = plan.frame_len
-    start = frame_index * plan.hop
-    avail = max(0, min(len(model.y), start + n) - start)
-    y, lo, hi = np.zeros(n), np.zeros(n), np.zeros(n)
-    y[:avail] = model.y[start : start + avail]
-    lo[:avail] = model.lo[start : start + avail]
-    hi[:avail] = model.hi[start : start + avail]
-    return ClipModel(y=y, lo=lo, hi=hi)
 
 
 def project_gamma_coef(

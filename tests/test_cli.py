@@ -22,9 +22,9 @@ from spadeclip.feasible import DEFAULT_DELTA_DETECT, detect_masks, hard_clip, pr
 from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
 from spadeclip.pipeline import declip_signal
-from spadeclip.segmentation import SegmentationPlan, overlap_add
+from spadeclip.segmentation import SegmentationPlan, overlap_add, restrict_frames
 from spadeclip.solvers import SolverParams, Variant, solve_batch
-from spadeclip.verification import CheckReport, restrict_model
+from spadeclip.verification import CheckReport
 from spadeclip.wavio import read_wav, write_wav
 
 RATE = 8000
@@ -254,16 +254,16 @@ def test_declip_theta_auto_is_the_peak(tmp_path):
 
 def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
     out = tmp_path / "bench.csv"
-    code, _ = run_cli(
+    args = [
         "bench",
         "--input", clean_wav,
-        "--output", out,
         "--variants", "aspade,sspade-dr",
         "--thetas", "0.3,0.5",
         "--redundancies", "2",
         "--frame-len", 256,
         "--hop", 64,
-    )
+    ]
+    code, _ = run_cli(*args, "--output", out)
     assert code == 0
     with open(out) as fh:
         reader = csv.reader(fh)
@@ -274,6 +274,12 @@ def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
     for row in rows:
         rec = dict(zip(header, row))
         assert float(rec["sdr_out_db"]) >= float(rec["sdr_in_db"])
+    # without --output the same CSV, runtime_s aside, goes to stdout
+    code, text = run_cli(*args)
+    assert code == 0
+    t = CSV_FIELDS.index("runtime_s")
+    stdout_table = [r[:t] + r[t + 1 :] for r in csv.reader(io.StringIO(text))]
+    assert stdout_table == [r[:t] + r[t + 1 :] for r in [header] + rows]
 
 
 def test_verify_subcommand_passes():
@@ -294,12 +300,12 @@ def test_verify_subcommand_passes():
 
 
 def test_verify_exits_1_on_a_check_over_its_tolerance(monkeypatch):
-    import spadeclip.cli
+    import spadeclip.verification
 
     def one_failing_check(config):
         return [CheckReport("scaled-form identity", 2e-12, 1e-12)]
 
-    monkeypatch.setattr(spadeclip.cli, "run_all_checks", one_failing_check)
+    monkeypatch.setattr(spadeclip.verification, "run_all_checks", one_failing_check)
     code, text = run_cli("verify")
     assert code == 1
     assert text.startswith("FAIL  scaled-form identity")
@@ -479,23 +485,40 @@ def test_bench_names_a_silent_reference(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_library_and_verify_load_no_scipy():
-    # only reading or writing a WAV file imports scipy
-    script = (
-        "import json, sys, spadeclip, spadeclip.cli\n"
-        "code = spadeclip.cli.main(['verify', '--trials', '2'])\n"
-        "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print(json.dumps([code, mods]))\n"
-    )
+def run_fresh(script):
+    """Run script in a new interpreter on this checkout's package; the JSON
+    value its last line of output prints."""
     src = str(Path(spadeclip.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    code, mods = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_library_and_verify_load_no_scipy():
+    # only reading or writing a WAV file imports scipy
+    code, mods = run_fresh(
+        "import json, sys, spadeclip, spadeclip.cli\n"
+        "code = spadeclip.cli.main(['verify', '--trials', '2'])\n"
+        "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps([code, mods]))\n"
+    )
     assert code == 0
     assert mods == []
+
+
+def test_declip_does_not_load_the_oracles(clean_wav, tmp_path):
+    # only verify imports spadeclip.verification
+    argv = ["declip", "--input", str(clean_wav), "--output", str(tmp_path / "out.wav")]
+    code, loaded = run_fresh(
+        "import json, sys, spadeclip.cli\n"
+        f"code = spadeclip.cli.main({argv!r})\n"
+        "print(json.dumps([code, 'spadeclip.verification' in sys.modules]))\n"
+    )
+    assert code == 0
+    assert not loaded
 
 
 @pytest.mark.parametrize(
@@ -530,7 +553,7 @@ def test_declip_signal_sdr_fields_against_reference():
 def test_declip_signal_rejects_non_finite(bad):
     y = np.clip(sparse_signal(512), -0.4, 0.4)
     y[100] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="signal holds non-finite"):
         declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64)
 
 
@@ -596,13 +619,11 @@ def test_pipeline_batch_equals_frames_solved_alone():
     plan = SegmentationPlan(len(y), 256, 64)
     op = make_frame(256, 2)
     model = detect_masks(y, 0.4)
+    frames = restrict_frames(model, plan)
     for variant in Variant:
         params = SolverParams(variant=variant)
         batched, report = declip_signal(y, 0.4, params, frame_len=256, hop=64)
-        alone = [
-            solve_batch(restrict_model(model, m, plan).select(np.newaxis), op, params)
-            for m in range(plan.num_frames)
-        ]
+        alone = [solve_batch(frames.select([m]), op, params) for m in range(plan.num_frames)]
         expected = project_gamma(overlap_add(np.array([out[0] for out, _ in alone]), plan), model)
         np.testing.assert_array_equal(batched, expected)
         assert report.per_frame == [stats[0] for _, stats in alone]

@@ -129,26 +129,19 @@ def test_derived_masks_partition_and_match_thresholds(case):
     st.integers(1, 12),
 )
 def test_restrict_frames_padding_is_reliable_zero(y, frame_len, hop):
+    # row m, column n of each field holds the global sample pos = m*hop + n;
+    # padding past the signal is reliable, lo = hi = y = 0
     hop = min(hop, frame_len)
     plan = SegmentationPlan(len(y), frame_len, hop)
-    frames = restrict_frames(detect_masks(y, 0.5), plan)
+    model = detect_masks(y, 0.5)
+    frames = restrict_frames(model, plan)
     pos = np.arange(plan.num_frames)[:, None] * hop + np.arange(frame_len)
     pad = pos >= len(y)
     assert np.all(frames.mask_r[pad])
-    assert np.all(frames.y[pad] == 0)
-    np.testing.assert_array_equal(frames.y[~pad], y[pos[~pad]])
-
-
-def test_project_gamma_componentwise_example():
-    m = simple_model()
-    out = project_gamma(np.array([0.2, 0.8, -1.3]), m)
-    np.testing.assert_array_equal(out, [0.5, 1.0, -1.3])
-
-
-def test_project_gamma_singleton_when_all_reliable():
-    y = np.array([0.1, -0.2, 0.3])
-    m = detect_masks(y, 1.0, 0.0)
-    np.testing.assert_array_equal(project_gamma(np.array([5.0, -5.0, 0.0]), m), y)
+    for name in ("y", "lo", "hi"):
+        got = getattr(frames, name)
+        assert np.all(got[pad] == 0), name
+        np.testing.assert_array_equal(got[~pad], getattr(model, name)[pos[~pad]], err_msg=name)
 
 
 def test_project_gamma_idempotent_and_y_feasible():

@@ -12,6 +12,11 @@ def test_sdr_known_values():
     assert np.isinf(sdr(x, x))
     assert np.isinf(sdr(np.zeros(3), np.zeros(3)))  # a silent channel restored as silence
     assert sdr(x, np.zeros(3)) == pytest.approx(0.0)
+    # an estimate far louder than the reference: the error's norm has its own scale
+    x = np.sin(0.1 * np.arange(1000))
+    assert sdr(x, x * 1e170) == pytest.approx(-3400.0, abs=1e-9)
+    assert sdr(x * 1e-200, x * 1e200) == pytest.approx(-8000.0, abs=1e-9)
+    assert sdr(x * 1e308, -x * 1e308) == sdr(x, -x)  # an error past the float range
 
 
 def test_sdr_errors():

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spadeclip.feasible import detect_masks, hard_clip
+from spadeclip.feasible import detect_masks
 from spadeclip.segmentation import (
     SegmentationPlan,
     overlap_add,
     restrict_frames,
 )
-from spadeclip.verification import restrict_model
 
 
 def frame_rows(x, plan):
@@ -31,13 +30,6 @@ def test_split_half_overlap_with_tail_padding():
     assert frames.shape == (4, 4)
     np.testing.assert_array_equal(frames[2], [5, 6, 7, 8])
     np.testing.assert_array_equal(frames[3], [7, 8, 9, 0])
-
-
-def test_plan_rejects_bad_hop():
-    with pytest.raises(ValueError):
-        SegmentationPlan(100, frame_len=4, hop=5)
-    with pytest.raises(ValueError):
-        SegmentationPlan(100, frame_len=4, hop=0)
 
 
 @pytest.mark.parametrize("total_len,frame_len,hop", [(0, 4, 2), (8, 4, 0), (8, 4, 5)])
@@ -81,13 +73,6 @@ def test_round_trip_identity(frame_len, hop):
     assert np.max(np.abs(out - x)) <= 1e-12
 
 
-def test_constant_in_constant_out():
-    x = np.full(500, 0.37)
-    plan = SegmentationPlan(len(x), 128, 32)
-    out = overlap_add(frame_rows(x, plan), plan)
-    np.testing.assert_allclose(out, x, atol=1e-13)
-
-
 def test_overlap_add_rejects_empty_and_bad_frames():
     plan = SegmentationPlan(8, 4, 2)
     with pytest.raises(ValueError):
@@ -121,68 +106,3 @@ def test_overlap_add_matches_per_frame_loop(data):
     out = overlap_add(frames, plan)
     assert out.shape == (length,)
     np.testing.assert_array_equal(out, _overlap_add_per_frame(frames, plan))
-
-
-def test_restrict_model_all_reliable():
-    y = np.full(20, 0.1)
-    model = detect_masks(y, 1.0, 0.0)
-    plan = SegmentationPlan(20, 8, 4)
-    for m in range(plan.num_frames):
-        sub = restrict_model(model, m, plan)
-        assert np.all(sub.mask_r)
-
-
-def test_restrict_model_clipped_run_spans_boundary():
-    y = np.zeros(16)
-    y[6:10] = 1.0  # clipped-high run crossing the frame-1/frame-2 boundary
-    model = detect_masks(y, 1.0, 0.0)
-    plan = SegmentationPlan(16, 8, 4)
-    sub0 = restrict_model(model, 0, plan)
-    sub1 = restrict_model(model, 1, plan)
-    np.testing.assert_array_equal(np.flatnonzero(sub0.mask_h), [6, 7])
-    np.testing.assert_array_equal(np.flatnonzero(sub1.mask_h), [2, 3, 4, 5])
-
-
-def test_restrict_model_padding_reliable_zero():
-    y = np.full(10, 1.0)
-    model = detect_masks(y, 1.0, 0.0)
-    plan = SegmentationPlan(10, 8, 4)
-    last = restrict_model(model, plan.num_frames - 1, plan)
-    pad = np.arange(8) >= 10 - (plan.num_frames - 1) * plan.hop
-    assert np.all(last.mask_r[pad])
-    assert np.all(last.y[pad] == 0)
-
-
-def test_restrict_model_out_of_range():
-    model = detect_masks(np.zeros(10) + 0.1, 1.0, 0.0)
-    plan = SegmentationPlan(10, 8, 4)
-    with pytest.raises(ValueError):
-        restrict_model(model, plan.num_frames, plan)
-
-
-def test_mask_classification_consistent_across_frames():
-    rng = np.random.default_rng(1)
-    y = hard_clip(rng.standard_normal(64), 0.8)
-    model = detect_masks(y, 0.8)
-    plan = SegmentationPlan(64, 16, 4)
-    for m in range(plan.num_frames):
-        sub = restrict_model(model, m, plan)
-        lo = m * plan.hop
-        for j in range(plan.frame_len):
-            if lo + j < 64:
-                assert sub.mask_r[j] == model.mask_r[lo + j]
-                assert sub.mask_h[j] == model.mask_h[lo + j]
-                assert sub.mask_l[j] == model.mask_l[lo + j]
-
-
-def test_restrict_frames_stacks_restrict_model():
-    rng = np.random.default_rng(2)
-    y = hard_clip(rng.standard_normal(61), 0.8)  # off the hop grid: padded tail
-    model = detect_masks(y, 0.8)
-    plan = SegmentationPlan(61, 16, 6)
-    frames = restrict_frames(model, plan)
-    assert frames.y.shape == (plan.num_frames, 16)
-    for m in range(plan.num_frames):
-        sub = restrict_model(model, m, plan)
-        for name in ("y", "lo", "hi", "mask_r", "mask_h", "mask_l"):
-            np.testing.assert_array_equal(getattr(frames, name)[m], getattr(sub, name))
