@@ -4,7 +4,8 @@ All three variants alternate a k-sparse hard-thresholding step with a
 projection onto the clipping-consistent set, accumulate the constraint
 residual in a scaled dual variable, and grow the sparsity target k by s
 every r iterations until the residual is at most epsilon or k passes the
-coefficient count; the last iterate is the result.
+coefficient count; the last iterate is the result. k is a function of the
+iteration count alone, `SolverParams.sparsity`, so no state stores it.
 
 * ASPADE and SSPADE_ORIG share one coefficient-domain iteration: threshold
   the coefficient iterate w plus the coefficient dual u, then project back
@@ -22,8 +23,8 @@ never appears here.
 `solve_batch` is the one solve driver: it solves frames stacked along a
 leading axis and returns the restored samples and a `FrameStats` per
 frame. One frame is a batch of one, `model.select(np.newaxis)`. The
-sparsity schedule does not depend on the frame, so all frames of a batch
-share k. A frame with no clipped sample is a fixed point of every
+sparsity schedule depends on the iteration count alone, so all frames of
+a batch share k. A frame with no clipped sample is a fixed point of every
 variant, so `solve_batch` passes it through with 0 iterations.
 
 Each variant's iteration is written once, as a kernel that advances a
@@ -69,10 +70,13 @@ class Variant(Enum):
 class SolverParams:
     """Sparsity schedule and termination settings.
 
-    k starts at `s` and grows by `s` every `r` iterations; the solve stops
-    once the residual is <= `epsilon` or k exceeds the frame's coefficient
-    count P//2 + 1. k counts half-spectrum coefficients, so each step keeps
-    whole conjugate pairs of the full DFT; DC and Nyquist count one each.
+    k starts at `s` and grows by `s` every `r` iterations (`sparsity`); the
+    solve stops once the residual is <= `epsilon` or k exceeds the frame's
+    coefficient count P//2 + 1. k counts half-spectrum coefficients, so
+    each step keeps whole conjugate pairs of the full DFT; DC and Nyquist
+    count one each. `epsilon` bounds an absolute residual, at the scale of
+    the samples solved: the input's own level, not a level normalized to
+    peak 1. A quiet input meets it sooner, at once if quiet enough.
     """
 
     s: int = 1
@@ -93,6 +97,10 @@ class SolverParams:
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
+    def sparsity(self, i: int) -> int:
+        """The k of the iteration that follows `i` completed ones."""
+        return self.s * (1 + i // self.r)
+
 
 @dataclass
 class SolverState:
@@ -102,13 +110,13 @@ class SolverState:
     that needs an earlier value copies it before the step. `w` is the
     coefficient iterate of ASPADE and SSPADE_ORIG, None for SSPADE_DR. For
     a batch, the arrays have a leading frame axis and `residual` holds one
-    value per frame; `k` and `i` are shared by the batch.
+    value per frame; `i` is shared by the batch. The next step's k is
+    `params.sparsity(state.i)`.
     """
 
     x_hat: np.ndarray
     z_bar: np.ndarray
     u: np.ndarray
-    k: int
     i: int = 0
     residual: float | np.ndarray = np.inf
     w: np.ndarray | None = None
@@ -156,14 +164,12 @@ def _keep_largest(s: np.ndarray, k: int) -> np.ndarray:
 
 
 def init_state(model: ClipModel, op: FrameOperator, params: SolverParams) -> SolverState:
-    """Starting state: estimate pinned to the observation, zero dual, k = s."""
+    """Starting state: estimate pinned to the observation, zero dual."""
     x_hat = model.y.copy()
     z_bar = np.zeros(model.y.shape[:-1] + (op.coeff_len,), dtype=complex)
     if params.variant is Variant.SSPADE_DR:
-        return SolverState(x_hat, z_bar, u=np.zeros(model.y.shape), k=params.s)
-    return SolverState(
-        x_hat, z_bar, u=np.zeros_like(z_bar), k=params.s, w=op.analyze(model.y)
-    )
+        return SolverState(x_hat, z_bar, u=np.zeros(model.y.shape))
+    return SolverState(x_hat, z_bar, u=np.zeros_like(z_bar), w=op.analyze(model.y))
 
 
 def _norm(a: np.ndarray):
@@ -174,10 +180,12 @@ def _norm(a: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _coef_kernel(state: SolverState, model: ClipModel, op: FrameOperator, aspade: bool):
+def _coef_kernel(
+    state: SolverState, model: ClipModel, op: FrameOperator, k: int, aspade: bool
+):
     """One ASPADE or SSPADE_ORIG iteration in place; returns the residual.
 
-    Thresholds w + u to z_bar, then projects c = z_bar - u onto the
+    Thresholds w + u to k entries in z_bar, then projects c = z_bar - u onto the
     variant's constraint set through x_hat, the consistent signal nearest
     to v = synthesize(c). A-SPADE takes w = analyze(x_hat); S-SPADE takes
     w = c + analyze(x_hat - v), the coefficient projection
@@ -188,7 +196,7 @@ def _coef_kernel(state: SolverState, model: ClipModel, op: FrameOperator, aspade
     (u + w) - z_bar.
     """
     z, u = state.z_bar, state.u
-    _keep_largest(np.add(state.w, u, out=z), state.k)
+    _keep_largest(np.add(state.w, u, out=z), k)
     # the old w is used up: its buffer holds c, then the residual difference
     c = np.subtract(z, u, out=state.w)
     v = op.synthesize(c)
@@ -204,15 +212,15 @@ def _coef_kernel(state: SolverState, model: ClipModel, op: FrameOperator, aspade
     return _norm(np.subtract(w, z, out=c))
 
 
-def _dr_kernel(state: SolverState, model: ClipModel, op: FrameOperator):
+def _dr_kernel(state: SolverState, model: ClipModel, op: FrameOperator, k: int):
     """One SSPADE_DR iteration in place; the dual lives in the time domain.
 
-    z_bar thresholds analyze(x_hat - u); x_hat projects
+    z_bar thresholds analyze(x_hat - u) to k entries; x_hat projects
     dz + u, dz = synthesize(z_bar); the dual becomes (u + dz) - x_hat.
     """
     x, u = state.x_hat, state.u
     # the old x_hat is used up once x_hat - u is analyzed
-    state.z_bar = _keep_largest(op.analyze(np.subtract(x, u, out=x)), state.k)
+    state.z_bar = _keep_largest(op.analyze(np.subtract(x, u, out=x)), k)
     dz = op.synthesize(state.z_bar)
     project_gamma_into(np.add(dz, u, out=x), model, x)
     u += dz
@@ -223,16 +231,15 @@ def _dr_kernel(state: SolverState, model: ClipModel, op: FrameOperator):
 def step(state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams) -> None:
     """One iteration of params' variant on state, in place.
 
-    Runs the variant's kernel at the state's k, then sets the residual and
-    counts the iteration; k grows by s every r iterations.
+    Runs the variant's kernel at k = `params.sparsity(state.i)`, then sets
+    the residual and counts the iteration.
     """
+    k = params.sparsity(state.i)
     if params.variant is Variant.SSPADE_DR:
-        state.residual = _dr_kernel(state, model, op)
+        state.residual = _dr_kernel(state, model, op, k)
     else:
-        state.residual = _coef_kernel(state, model, op, params.variant is Variant.ASPADE)
+        state.residual = _coef_kernel(state, model, op, k, params.variant is Variant.ASPADE)
     state.i += 1
-    if state.i % params.r == 0:
-        state.k += params.s
 
 
 def solve_batch(
@@ -260,18 +267,18 @@ def solve_batch(
     model = model.select(rows)
     state = init_state(model, op, params)
     while rows.size:
-        k = state.k
         step(state, model, op, params)
         done = state.residual <= params.epsilon
-        retired = done | (state.k > op.coeff_len)
+        retired = done | (params.sparsity(state.i) > op.coeff_len)
         if retired.any():
             restored[rows[retired]] = state.x_hat[retired]
             for m, res, c in zip(rows[retired], state.residual[retired], done[retired]):
-                # a converged frame does not advance k
-                stats[m] = FrameStats(state.i, float(res), k if c else state.k, bool(c))
+                # a converged frame reports the k it ran at, a capped one the next
+                final_k = params.sparsity(state.i - bool(c))
+                stats[m] = FrameStats(state.i, float(res), final_k, bool(c))
             stay = ~retired
             rows = rows[stay]
-            # `k` and `i` are shared; the next step sets the residual
+            # `i` is shared; the next step sets the residual
             state.x_hat, state.z_bar, state.u = state.x_hat[stay], state.z_bar[stay], state.u[stay]
             if state.w is not None:
                 state.w = state.w[stay]

@@ -3,12 +3,18 @@
 `read_wav` accepts PCM 8-, 16-, 24- and 32-bit and float32 / float64
 files with any number of channels. It returns float64 samples, shape (n,)
 for mono and (n, channels) otherwise, and rejects a file with no samples
-or one holding a NaN or an infinity. `write_wav` writes a float WAV with
+or one holding a NaN or an infinity. A file cut short, in its header or
+in its samples, is rejected too: scipy's parse errors and its "Reached
+EOF prematurely" warning become a ValueError that starts with the path.
+`write_wav` writes a float WAV with
 the array's channel count: float32 for a float32 array, float64 for any
 other, so a caller chooses the width by the array it passes.
 """
 
 from __future__ import annotations
+
+import struct
+import warnings
 
 import numpy as np
 
@@ -33,7 +39,14 @@ def read_wav(path: str) -> tuple[int, np.ndarray]:
     # imported here, not at module top: importing scipy.io costs ~0.2 s and ~15 MB
     from scipy.io import wavfile
 
-    rate, data = wavfile.read(path)
+    with warnings.catch_warnings():
+        # scipy only warns when the data chunk is cut short, and returns the
+        # samples before the cut: here that is an error, not a shorter signal
+        warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+        try:
+            rate, data = wavfile.read(path)
+        except (struct.error, ValueError, wavfile.WavFileWarning) as exc:
+            raise ValueError(f"{path}: cannot read as WAV: {exc}") from exc
     if len(data) == 0:
         raise ValueError(f"{path}: no samples")
     samples = _to_float(data)

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -160,6 +161,54 @@ def test_read_wav_rejects_empty_float_file(tmp_path):
     wavfile.write(src, RATE, np.zeros((0, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="no samples"):
         read_wav(str(src))
+
+
+def _whole_wav(path, dtype) -> bytes:
+    """The bytes of a 4000-sample mono file in the given sample type."""
+    x = sparse_signal(4000, amp=0.8)
+    wavfile.write(path, RATE, (x * 32767).astype(dtype) if dtype is np.int16 else x.astype(dtype))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32], ids=["pcm16", "float32"])
+def test_read_wav_rejects_every_truncation(tmp_path, dtype):
+    blob = _whole_wav(tmp_path / "whole.wav", dtype)
+    cut = tmp_path / "cut.wav"
+    # every cut inside the header, then an odd stride: cuts fall at every byte of a sample
+    for size in [*range(64), *range(64, len(blob), 97), len(blob) - 1]:
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: "):
+            read_wav(str(cut))
+
+
+@pytest.mark.parametrize("size", [30, 1001])
+@pytest.mark.parametrize(
+    "command,args",
+    [("clip", ["--theta", 0.4]), ("declip", ["--csv", "r.csv"]), ("bench", [])],
+    ids=["clip", "declip", "bench"],
+)
+def test_cli_rejects_a_truncated_wav(tmp_path, capsys, monkeypatch, command, args, size):
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "cut.wav"
+    src.write_bytes(_whole_wav(tmp_path / "whole.wav", np.int16)[:size])
+    code, text = run_cli(command, "--input", src, "--output", "out", *args)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith(f"error: {src}: cannot read as WAV: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.wav", "whole.wav"]
+
+
+def test_read_wav_passes_other_scipy_warnings(tmp_path):
+    # an unknown chunk before the data is skipped with a warning, not refused
+    blob = _whole_wav(tmp_path / "whole.wav", np.int16)
+    data = blob.index(b"data")
+    junk = b"junk" + (4).to_bytes(4, "little") + b"\0" * 4
+    src = tmp_path / "junk.wav"
+    riff_size = int.from_bytes(blob[4:8], "little") + len(junk)
+    src.write_bytes(blob[:4] + riff_size.to_bytes(4, "little") + blob[8:data] + junk + blob[data:])
+    with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+        _, loaded = read_wav(str(src))
+    np.testing.assert_array_equal(loaded, read_wav(str(tmp_path / "whole.wav"))[1])
 
 
 @pytest.mark.parametrize("command", ["clip", "declip"])

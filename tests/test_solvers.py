@@ -180,22 +180,15 @@ def test_zbar_sparsity_bound_every_variant():
         params = SolverParams(s=2, r=3, epsilon=0.0, variant=variant)
         state = init_state(model, op, params)
         for _ in range(30):
-            k = state.k
+            k = params.sparsity(state.i)
             step(state, model, op, params)
             assert np.count_nonzero(state.z_bar) <= k, variant.value
 
 
 def test_sparsity_schedule_monotone():
-    model = make_test_model()
-    op = make_frame(64, 2)
-    for variant in Variant:
-        params = SolverParams(s=2, r=3, epsilon=0.0, variant=variant)
-        state = init_state(model, op, params)
-        assert state.k == 2
-        for i in range(1, 31):
-            step(state, model, op, params)
-            # k grows by exactly s every r completed iterations
-            assert state.k == 2 + 2 * (i // 3), variant.value
+    # k grows by exactly s every r completed iterations
+    params = SolverParams(s=2, r=3)
+    assert [params.sparsity(i) for i in range(7)] == [2, 2, 2, 4, 4, 4, 6]
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["frame", "batch"])
@@ -224,12 +217,13 @@ def _solve_by_steps(model, op, params):
     """One frame: public steps until the stop rule of `solve_batch` fires."""
     state = init_state(model, op, params)
     while True:
-        k_before = state.k
+        k = params.sparsity(state.i)
         step(state, model, op, params)
         if state.residual <= params.epsilon:
-            return state.x_hat, FrameStats(state.i, state.residual, k_before, True)
-        if state.k > op.coeff_len:
-            return state.x_hat, FrameStats(state.i, state.residual, state.k, False)
+            return state.x_hat, FrameStats(state.i, state.residual, k, True)
+        next_k = params.sparsity(state.i)
+        if next_k > op.coeff_len:
+            return state.x_hat, FrameStats(state.i, state.residual, next_k, False)
 
 
 def _retiring_batch():
@@ -322,10 +316,10 @@ def test_run_solver_capped_returns_last_iterate(variant):
     params = SolverParams(s=1, r=1, epsilon=0.0, variant=variant)
     (x,), (stats,) = solve_batch(model.select(np.newaxis), op, params)
     state = init_state(model, op, params)
-    while state.k <= op.coeff_len:
+    while params.sparsity(state.i) <= op.coeff_len:
         step(state, model, op, params)
     assert not stats.converged
-    assert (stats.iterations, stats.final_k) == (state.i, state.k)
+    assert (stats.iterations, stats.final_k) == (state.i, params.sparsity(state.i))
     assert stats.final_residual == state.residual
     np.testing.assert_array_equal(x, state.x_hat)
 
