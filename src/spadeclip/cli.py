@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .feasible import DEFAULT_DELTA_DETECT, hard_clip
-from .pipeline import declip_signal
+from .feasible import DEFAULT_DELTA_DETECT, auto_theta, hard_clip
+from .pipeline import DEFAULT_FRAME_LEN, DEFAULT_HOP, DEFAULT_REDUNDANCY, declip_signal
 from .solvers import SolverParams, Variant
 from .wavio import read_wav, write_wav
 
@@ -35,11 +35,11 @@ CSV_FIELDS = [
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--frame-len", type=int, default=1024)
-    p.add_argument("--hop", type=int, default=256)
-    p.add_argument("--s", type=int, default=1, help="sparsity step")
-    p.add_argument("--r", type=int, default=1, help="iterations between sparsity increments")
-    p.add_argument("--epsilon", type=float, default=0.1, help="termination residual")
+    p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
+    p.add_argument("--hop", type=int, default=DEFAULT_HOP)
+    p.add_argument("--s", type=int, default=SolverParams.s, help="sparsity step")
+    p.add_argument("--r", type=int, default=SolverParams.r, help="iterations between sparsity increments")
+    p.add_argument("--epsilon", type=float, default=SolverParams.epsilon, help="termination residual")
     p.add_argument("--delta-detect", type=float, default=DEFAULT_DELTA_DETECT)
 
 
@@ -107,14 +107,7 @@ def cmd_clip(args) -> int:
 def cmd_declip(args) -> int:
     rate, y = read_wav(args.input)
     channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
-    if args.theta == "auto":
-        # the peak over all channels; detection already admits samples within
-        # delta of theta as clipped. A file within delta of silence has
-        # nothing clipped: inf.
-        peak = float(np.max(np.abs(y)))
-        theta = peak if peak > args.delta_detect else np.inf
-    else:
-        theta = float(args.theta)
+    theta = auto_theta(y, args.delta_detect) if args.theta == "auto" else float(args.theta)
     restored, reports = [], []
     for channel in channels:
         out, report = _declip(args, args.variant, channel, theta, args.redundancy)
@@ -179,40 +172,41 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="spadeclip", description="Sparse audio declipping toolkit"
+        prog="spadeclip", description="Sparse audio declipping toolkit", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_clip = sub.add_parser("clip", help="hard-clip a WAV file for experiments")
+    p_clip = sub.add_parser("clip", help="hard-clip a WAV file for experiments", allow_abbrev=False)
     p_clip.add_argument("--input", required=True)
     p_clip.add_argument("--output", required=True)
     p_clip.add_argument("--theta", type=float, required=True)
     p_clip.set_defaults(func=cmd_clip)
 
-    p_declip = sub.add_parser("declip", help="restore a clipped WAV file")
+    p_declip = sub.add_parser("declip", help="restore a clipped WAV file", allow_abbrev=False)
     p_declip.add_argument("--input", required=True)
     p_declip.add_argument("--output", required=True)
-    p_declip.add_argument("--variant", choices=[v.value for v in Variant], default="aspade")
+    p_declip.add_argument("--variant", choices=[v.value for v in Variant], default=SolverParams.variant.value)
     p_declip.add_argument(
         "--theta", default="auto", help='clip threshold, or "auto" (the peak |y|)'
     )
     p_declip.add_argument("--csv", help="also write the report as CSV, one row per channel")
-    p_declip.add_argument("--redundancy", type=float, default=2.0)
+    p_declip.add_argument("--redundancy", type=float, default=DEFAULT_REDUNDANCY)
     _add_solver_args(p_declip)
     p_declip.set_defaults(func=cmd_declip)
 
     p_bench = sub.add_parser(
-        "bench", help="clip a clean WAV over a grid and declip; CSV per cell"
+        "bench", help="clip a clean WAV over a grid and declip; CSV per cell", allow_abbrev=False
     )
     p_bench.add_argument("--input", required=True, help="clean reference WAV")
     p_bench.add_argument("--output", help="CSV path (default stdout)")
-    p_bench.add_argument("--variants", default="aspade,sspade,sspade-dr")
+    p_bench.add_argument("--variants", default=",".join(v.value for v in Variant))
     p_bench.add_argument("--thetas", default="0.1,0.3,0.5,0.7,0.9", help="fractions of peak amplitude")
-    p_bench.add_argument("--redundancies", default="2")
+    p_bench.add_argument("--redundancies", default=str(DEFAULT_REDUNDANCY))
     _add_solver_args(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
-    p_verify = sub.add_parser("verify", help="run the oracle checks")
+    p_verify = sub.add_parser("verify", help="run the oracle checks", allow_abbrev=False)
+    # OracleConfig's defaults, retyped: reading it here would load the oracles for every command
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)

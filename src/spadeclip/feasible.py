@@ -18,6 +18,7 @@ __all__ = [
     "ClipModel",
     "hard_clip",
     "detect_masks",
+    "auto_theta",
     "project_gamma",
 ]
 
@@ -102,6 +103,12 @@ def detect_masks(
     lo = np.where(high, theta, np.where(low, -np.inf, y))
     hi = np.where(high, np.inf, np.where(low, -theta, y))
     return ClipModel(y=y, lo=lo, hi=hi)
+
+
+def auto_theta(y: np.ndarray, delta_detect: float = DEFAULT_DELTA_DETECT) -> float:
+    """The peak |y| over every sample, or inf (nothing clipped) if not above `delta_detect`."""
+    peak = float(np.max(np.abs(y)))
+    return peak if peak > delta_detect else np.inf
 
 
 def project_gamma(v: np.ndarray, model: ClipModel) -> np.ndarray:

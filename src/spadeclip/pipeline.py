@@ -20,14 +20,18 @@ from .solvers import SolverParams, solve_batch
 
 __all__ = ["declip_signal"]
 
+DEFAULT_FRAME_LEN = 1024
+DEFAULT_HOP = 256
+DEFAULT_REDUNDANCY = 2.0
+
 
 def declip_signal(
     y: np.ndarray,
     theta: float,
     params: SolverParams,
-    frame_len: int = 1024,
-    hop: int = 256,
-    redundancy: float = 2,
+    frame_len: int = DEFAULT_FRAME_LEN,
+    hop: int = DEFAULT_HOP,
+    redundancy: float = DEFAULT_REDUNDANCY,
     delta_detect: float = DEFAULT_DELTA_DETECT,
     reference: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DeclipReport]:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from spadeclip.feasible import detect_masks, hard_clip, project_gamma
+from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
 from spadeclip.pipeline import declip_signal
@@ -23,6 +23,7 @@ from spadeclip.solvers import (
 )
 from spadeclip.verification import (
     OracleConfig,
+    check_projection_transposition,
     check_scaled_form,
     check_unitary_equivalence,
     make_test_model,
@@ -77,21 +78,11 @@ def test_criterion_3_scaled_form_identity():
 
 
 def test_criterion_4_projection_transposition():
-    rng = np.random.default_rng(3)
-    op = make_frame(8, 2)
+    # 20 coefficient draws, each against 100 random feasible candidates
     model = make_test_model(n=8, harmonics=(1, 3), amps=(1.0, 0.5), phases=(0.2, 1.4))
-    violations = 0
-    q = op.coeff_len
-    for _ in range(20):
-        s = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-        x_star = project_gamma(op.synthesize(s), model)
-        obj = np.linalg.norm(op.analyze(x_star) - s)
-        for _ in range(100):
-            cand = project_gamma(rng.standard_normal(8), model)
-            if obj > np.linalg.norm(op.analyze(cand) - s) + 1e-12:
-                violations += 1
-    assert violations == 0
-    announce("4 projection transposition", "0 violations over 20x100 candidates")
+    report = check_projection_transposition(make_frame(8, 2), model, OracleConfig(100, 3))
+    assert report.max_deviation <= 1e-12
+    announce("4 projection transposition", f"max dev {report.max_deviation:.2e}")
 
 
 def test_criterion_5_unitary_equivalence():

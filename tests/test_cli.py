@@ -301,6 +301,16 @@ def test_declip_theta_auto_is_the_peak(tmp_path):
     assert np.all(np.abs(restored[clipped]) >= np.float32(0.5))
 
 
+def test_bench_defaults_run_every_variant_at_the_default_redundancy(clean_wav):
+    code, text = run_cli(
+        "bench", "--input", clean_wav, "--thetas", 0.5, "--frame-len", 256, "--hop", 64
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [row["variant"] for row in rows] == [v.value for v in Variant]
+    assert [row["redundancy"] for row in rows] == ["2.0"] * len(Variant)
+
+
 def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
     out = tmp_path / "bench.csv"
     args = [
@@ -358,6 +368,41 @@ def test_verify_exits_1_on_a_check_over_its_tolerance(monkeypatch):
     code, text = run_cli("verify")
     assert code == 1
     assert text.startswith("FAIL  scaled-form identity")
+
+
+def test_main_exits_130_on_keyboard_interrupt(monkeypatch):
+    import spadeclip.cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(spadeclip.cli, "cmd_verify", interrupted)  # build_parser reads it per call
+    assert main(["verify"]) == 130
+
+
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("declip", "--re", "1.5"),  # --redundancy
+        ("declip", "--eps", "0.01"),  # --epsilon
+        ("bench", "--var", "aspade"),  # --variants
+        ("clip", "--th", "0.5"),  # --theta
+        ("verify", "--tr", "2"),  # --trials
+    ],
+)
+def test_options_take_their_full_names_only(clean_wav, tmp_path, capsys, command, option, value):
+    out = tmp_path / "out.wav"
+    files = {
+        "declip": ["--input", clean_wav, "--output", out],
+        "bench": ["--input", clean_wav, "--output", tmp_path / "out.csv"],
+        "clip": ["--input", clean_wav, "--output", out],
+        "verify": [],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *files, option, value)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [clean_wav]
 
 
 # left and right channels on the grid every PCM width represents exactly

@@ -58,3 +58,16 @@ def test_report_table_and_mean_iterations():
     # -inf is the opposite of exact recovery: it keeps its sign and its unit
     worst = replace(report, sdr_clipped_input=-np.inf).as_table()
     assert "SDR of clipped input : -inf dB\n" in worst
+
+
+def test_report_of_no_frames_has_mean_iterations_zero():
+    # np.mean of an empty list would warn and give NaN; warnings fail the suite
+    report = DeclipReport(
+        sdr_clipped_input=np.inf,
+        sdr_restored=np.inf,
+        sdr_on_clipped_samples=np.inf,
+        per_frame=[],
+        runtime=0.0,
+    )
+    assert report.mean_iterations == 0.0
+    assert "mean iterations      : 0.0\n" in report.as_table()
