@@ -111,24 +111,19 @@ def auto_theta(y: np.ndarray, delta_detect: float = DEFAULT_DELTA_DETECT) -> flo
     return peak if peak > delta_detect else np.inf
 
 
-def project_gamma(v: np.ndarray, model: ClipModel) -> np.ndarray:
+def project_gamma(v: np.ndarray, model: ClipModel, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of v onto the clipping-consistent set.
 
     Each sample is clamped into its box [lo, hi]: reliable samples are
     pinned to y, clipped-high samples raised to at least theta, clipped-low
     samples lowered to at most -theta. For a batched model, v holds one
-    frame per row.
+    frame per row. The result goes to `out`, which may be v itself, else
+    to a new array.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != model.y.shape:
         raise ValueError(f"expected shape {model.y.shape}, got {v.shape}")
-    return project_gamma_into(v, model, np.empty_like(v))
-
-
-def project_gamma_into(v: np.ndarray, model: ClipModel, out: np.ndarray) -> np.ndarray:
-    """`project_gamma` without checks, written into `out` (which may be v)."""
     # the bounds go second: on a tie (0.0 against -0.0) numpy's maximum and
     # minimum return the second operand, so reliable samples keep y's bits
-    np.maximum(v, model.lo, out=out)
+    out = np.maximum(v, model.lo, out=out)
     return np.minimum(out, model.hi, out=out)
-

@@ -34,8 +34,8 @@ that it has used up. `init_state` and `step` are the stepping interface,
 on one frame or a batch; the lockstep oracle and the tests use them.
 `step` runs one kernel call in place and returns None; `solve_batch` is
 `init_state` plus a loop of `step` calls over one state per batch,
-compacted only when frames retire. `hard_threshold` and `project_gamma`
-run the in-place helpers the kernels call.
+compacted only when frames retire. The kernels call `hard_threshold`
+and `project_gamma` with `out=` the buffer they overwrite.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .feasible import ClipModel, project_gamma_into
+from .feasible import ClipModel, project_gamma
 from .frames import FrameOperator, require_integers
 from .metrics import FrameStats
 
@@ -122,36 +122,34 @@ class SolverState:
     w: np.ndarray | None = None
 
 
-def hard_threshold(s_vec: np.ndarray, k: int) -> np.ndarray:
+def hard_threshold(s_vec: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Keep the k largest-magnitude entries of s_vec, zero the rest.
 
     Exact minimizer of ||z - s_vec||^2 over k-sparse z. Ties are broken by
     keeping the lower index. Any array is thresholded along its last axis,
-    so each row of a batch keeps its own k entries. Raises ValueError if k
-    is not an integer (numpy integers pass) or is negative, or if s_vec is
-    a scalar, which has no entries to count.
+    so each row of a batch keeps its own k entries. The result goes to
+    `out`, which may be s_vec itself, else to a new array. Raises
+    ValueError if k is not an integer (numpy integers pass) or is
+    negative, or if s_vec is a scalar, which has no entries to count.
     """
     require_integers(k=k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    s = np.array(s_vec)
+    s = np.asarray(s_vec)
     if s.ndim == 0:
         raise ValueError(f"s_vec must have at least one axis, got the scalar {s_vec!r}")
-    return _keep_largest(s, k)
-
-
-def _keep_largest(s: np.ndarray, k: int) -> np.ndarray:
-    """`hard_threshold` in place on s, for k >= 0."""
-    n = s.shape[-1]
+    if out is None:
+        out = s.copy()
+    elif out is not s:
+        np.copyto(out, s)
+    n = out.shape[-1]
     if k >= n:
-        return s
+        return out
     if k == 0:
-        s[...] = 0
-        return s
-    mag = np.abs(s)
-    part = mag.copy()
-    part.partition(n - k, axis=-1)
-    kth = part[..., n - k, None]  # k-th largest
+        out[...] = 0
+        return out
+    mag = np.abs(out)
+    kth = np.partition(mag, n - k, axis=-1)[..., n - k, None]  # k-th largest
     keep = mag >= kth
     # every row keeps at least k entries, so a surplus anywhere shows in the total
     if np.count_nonzero(keep) > k * (keep.size // n):
@@ -159,8 +157,8 @@ def _keep_largest(s: np.ndarray, k: int) -> np.ndarray:
         tied = mag == kth
         free = k - np.count_nonzero(mag > kth, axis=-1, keepdims=True)
         keep &= ~tied | (np.cumsum(tied, axis=-1) <= free)
-    np.copyto(s, 0, where=np.logical_not(keep, out=keep))
-    return s
+    np.copyto(out, 0, where=np.logical_not(keep, out=keep))
+    return out
 
 
 def init_state(model: ClipModel, op: FrameOperator, params: SolverParams) -> SolverState:
@@ -196,11 +194,11 @@ def _coef_kernel(
     (u + w) - z_bar.
     """
     z, u = state.z_bar, state.u
-    _keep_largest(np.add(state.w, u, out=z), k)
+    hard_threshold(np.add(state.w, u, out=z), k, out=z)
     # the old w is used up: its buffer holds c, then the residual difference
     c = np.subtract(z, u, out=state.w)
     v = op.synthesize(c)
-    x = project_gamma_into(v, model, state.x_hat)
+    x = project_gamma(v, model, out=state.x_hat)
     if aspade:
         w = op.analyze(x)
     else:
@@ -220,9 +218,9 @@ def _dr_kernel(state: SolverState, model: ClipModel, op: FrameOperator, k: int):
     """
     x, u = state.x_hat, state.u
     # the old x_hat is used up once x_hat - u is analyzed
-    state.z_bar = _keep_largest(op.analyze(np.subtract(x, u, out=x)), k)
-    dz = op.synthesize(state.z_bar)
-    project_gamma_into(np.add(dz, u, out=x), model, x)
+    state.z_bar = z = op.analyze(np.subtract(x, u, out=x))
+    dz = op.synthesize(hard_threshold(z, k, out=z))
+    project_gamma(np.add(dz, u, out=x), model, out=x)
     u += dz
     u -= x
     return _norm(np.subtract(dz, x, out=dz))

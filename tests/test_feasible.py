@@ -108,6 +108,26 @@ def test_project_gamma_equals_three_mask_formula_bitwise(case):
     np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_project_gamma_out_equals_the_copying_call_bitwise(batch):
+    # reliable -0.0 and 0.0 that v holds with the other sign, then one
+    # reliable, one clipped-high and one clipped-low sample
+    y = np.array([-0.0, 0.0, 0.5, 1.0, -1.0])
+    v = np.array([0.0, -0.0, 0.7, 0.2, 0.3])
+    if batch:
+        y, v = np.stack([y, -y, y[::-1]]), np.stack([v, -v, v[::-1]])
+    model = detect_masks(y, 1.0, delta_detect=0.0)
+    given = v.copy()
+    copied = project_gamma(given, model)
+    np.testing.assert_array_equal(given.view(np.int64), v.view(np.int64))  # input untouched
+    np.testing.assert_array_equal(copied.view(np.int64)[model.mask_r], y.view(np.int64)[model.mask_r])
+    dest = np.full_like(v, 7.0)
+    assert project_gamma(v, model, out=dest) is dest
+    assert project_gamma(given, model, out=given) is given  # in place, as the kernels call it
+    for out in (dest, given):
+        np.testing.assert_array_equal(out.view(np.int64), copied.view(np.int64))
+
+
 @given(_box_case())
 def test_derived_masks_partition_and_match_thresholds(case):
     y, theta, delta, _ = case

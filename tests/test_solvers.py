@@ -52,6 +52,23 @@ def test_hard_threshold_tie_keeps_lower_index():
     np.testing.assert_array_equal(out, [1.0, -1.0, 0.0])
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_hard_threshold_out_equals_the_copying_call_bitwise(batch):
+    # three entries tie at the 3rd-largest magnitude, and a -0.0 is zeroed
+    s = np.array([1.0, -0.0, -1.0, 2.0, 1j, 0.5])
+    if batch:
+        s = np.stack([s, s[::-1], -s])
+    for k in (0, 3, 6):
+        given = s.copy()
+        copied = hard_threshold(given, k)
+        np.testing.assert_array_equal(given.view(np.int64), s.view(np.int64))  # input untouched
+        dest = np.full_like(s, 7.0)
+        assert hard_threshold(s, k, out=dest) is dest
+        assert hard_threshold(given, k, out=given) is given  # in place, as the kernels call it
+        for out in (dest, given):
+            np.testing.assert_array_equal(out.view(np.int64), copied.view(np.int64))
+
+
 def _threshold_reference(s, k):
     out = np.zeros_like(s)
     keep = np.argsort(-np.abs(s), kind="stable")[:k]

@@ -1,0 +1,94 @@
+"""The mutant catalogue: defects the test suite must catch, each with the tests that catch it.
+
+Each entry names a file under `src/`, an exact text that occurs once in it,
+the text that replaces it, and the pytest IDs (relative to the repository
+root) that must fail once it is applied. `tools/run_mutants.py` applies
+the entries one at a time to a copy of the tree; `tests/test_mutants.py`
+checks that every old text still occurs exactly once, so a change that
+rewrites a mutated line restates its mutant here.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    kills: tuple[str, ...]  # test IDs that must fail on the mutant
+
+
+MUTANTS = [
+    Mutant(
+        "lower clamp dropped",
+        "spadeclip/feasible.py",
+        "out = np.maximum(v, model.lo, out=out)",
+        "out = np.positive(v, out=out)",
+        ("tests/test_feasible.py::test_project_gamma_equals_three_mask_formula_bitwise",),
+    ),
+    Mutant(
+        "frame hi taken from lo",
+        "spadeclip/segmentation.py",
+        "hi=_frames_of(model.hi, plan)",
+        "hi=_frames_of(model.lo, plan)",
+        ("tests/test_feasible.py::test_restrict_frames_padding_is_reliable_zero",),
+    ),
+    Mutant(
+        "even P: Nyquist weighted sqrt(2/P)",
+        "spadeclip/frames.py",
+        "if p % 2 == 0:",
+        "if p % 2 == 1:",
+        ("tests/test_cli.py::test_verify_subcommand_passes",),
+    ),
+    Mutant(
+        "redundancy ignored",
+        "spadeclip/frames.py",
+        "dft_len=int(p_exact)",
+        "dft_len=signal_len",
+        ("tests/test_frames.py::test_make_frame_unitary",),
+    ),
+    Mutant(
+        "analysis weights added",
+        "spadeclip/frames.py",
+        "c *= self._weights",
+        "c += self._weights",
+        ("tests/test_cli.py::test_verify_subcommand_passes",),
+    ),
+    Mutant(
+        "hop 0 accepted",
+        "spadeclip/segmentation.py",
+        "if self.hop < 1 or",
+        "if self.hop < 0 or",
+        ("tests/test_segmentation.py::test_plan_constructor_validates[8-4-0]",),
+    ),
+    Mutant(
+        "overlap-add not normalized",
+        "spadeclip/segmentation.py",
+        "return num[: plan.total_len] / den[: plan.total_len]",
+        "return num[: plan.total_len]",
+        (
+            "tests/test_segmentation.py::test_overlap_add_matches_per_frame_loop",
+            "tests/test_segmentation.py::test_round_trip_identity",
+        ),
+    ),
+    Mutant(
+        "verify always exits 0",
+        "spadeclip/cli.py",
+        "return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED",
+        "return EXIT_OK",
+        ("tests/test_cli.py::test_verify_exits_1_on_a_check_over_its_tolerance",),
+    ),
+    Mutant(
+        "threshold tie keeps one entry too few",
+        "spadeclip/solvers.py",
+        "np.cumsum(tied, axis=-1) <= free",
+        "np.cumsum(tied, axis=-1) < free",
+        (
+            "tests/test_solvers.py::test_hard_threshold_tie_keeps_lower_index",
+            "tests/test_solvers.py::test_hard_threshold_matches_stable_argsort",
+        ),
+    ),
+]

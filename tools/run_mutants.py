@@ -1,0 +1,91 @@
+"""Run the mutant catalogue of `tools/mutants.py` against the test suite.
+
+    python tools/run_mutants.py
+
+Copies `src/`, `tests/` and `pyproject.toml` (which holds the pytest
+settings) of the tree this script sits in to a temporary directory, and
+checks that every catalogued test passes there. Then, one mutant at a
+time, it applies the mutant to the copy, runs each of the mutant's test
+IDs with pytest, and restores the file. A mutant is
+
+* killed when every one of its tests fails,
+* survived when one of them passes,
+* stale when its old text does not occur exactly once in its file.
+
+Hypothesis runs its fixed example sequence (the "ci" profile of
+`tests/conftest.py`), so a result repeats from run to run. Exits 1 if a
+mutant survived or is stale, or if a pytest run ended in neither a pass
+nor a failure. Needs pytest and the package's own dependencies, nothing
+else.
+"""
+
+from __future__ import annotations
+
+import os
+import runpy
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MUTANTS = runpy.run_path(str(ROOT / "tools" / "mutants.py"))["MUTANTS"]
+# Hypothesis imports libcst to report a failing example; where libcst's
+# import warns, the suite's `filterwarnings = error` turns that report into
+# a pytest internal error (exit 3) instead of a failure (exit 1)
+LIBCST_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+
+
+def run_pytest(tree: Path, *ids: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile=ci", "-W", LIBCST_WARNING, *ids],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )  # fmt: skip
+
+
+def run_mutant(tree: Path, mutant) -> str:
+    """"killed", "survived" or "stale"; raises RuntimeError if pytest errs."""
+    path = tree / "src" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return "stale"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    try:
+        for test in mutant.kills:
+            run = run_pytest(tree, test)
+            if run.returncode == 0:
+                return "survived"
+            if run.returncode != 1:  # 1: tests failed; anything else is no verdict
+                raise RuntimeError(f"{mutant.id}: pytest {test} exited {run.returncode}\n{run.stdout}")
+        return "killed"
+    finally:
+        path.write_text(text)
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        shutil.copytree(ROOT / "src", tree / "src")
+        shutil.copytree(ROOT / "tests", tree / "tests")
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        baseline = run_pytest(tree, *sorted({t for m in MUTANTS for t in m.kills}))
+        if baseline.returncode != 0:
+            print(f"the catalogued tests do not pass unmutated:\n{baseline.stdout}")
+            return 1
+        verdicts = []
+        for mutant in MUTANTS:
+            verdict = run_mutant(tree, mutant)
+            verdicts.append(verdict)
+            print(f"{verdict:9} {mutant.id} ({mutant.file})", flush=True)
+    counts = ", ".join(f"{verdicts.count(v)} {v}" for v in ("killed", "survived", "stale"))
+    print(f"{len(MUTANTS)} mutants: {counts} in {time.perf_counter() - t0:.1f} s")
+    return 0 if verdicts.count("killed") == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
