@@ -5,7 +5,10 @@ y on reliable samples, are >= theta on clipped-high samples and <= -theta
 on clipped-low samples. That set is a box: every sample has a lower and an
 upper bound (lo = hi = y, [theta, +inf) or (-inf, -theta]), and the
 Euclidean projection onto it is an elementwise clamp. The bounds give the
-set in full, so the clip model stores them and not theta.
+set in full, so the clip model stores them and not theta. A fourth kind,
+the free sample with bounds (-inf, +inf), is one nothing observed: the
+tail padding of a frame past its signal's end. The projection leaves it
+as it is.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ class ClipModel:
 
     Each sample x[n] must satisfy lo[n] <= x[n] <= hi[n]: a reliable sample
     has lo = hi = y, a clipped-high one [theta, +inf), a clipped-low one
-    (-inf, -theta]. theta lives only in the bounds; `detect_masks` checks
-    it. The masks `mask_r`, `mask_h`, `mask_l` (reliable / clipped-high /
-    clipped-low) are read off the bounds. A batch of frames stacks `y` and
-    the bounds along a leading axis.
+    (-inf, -theta], a free one (-inf, +inf). theta lives only in the
+    bounds; `detect_masks` checks it. The masks `mask_r`, `mask_h`,
+    `mask_l`, `mask_free` (reliable / clipped-high / clipped-low / free)
+    are read off the bounds and partition the samples; `num_clipped`
+    counts the clipped-high and clipped-low ones. A batch of frames stacks
+    `y` and the bounds along a leading axis.
     """
 
     y: np.ndarray
@@ -54,15 +59,24 @@ class ClipModel:
 
     @property
     def mask_h(self) -> np.ndarray:
-        return self.hi == np.inf
+        return (self.hi == np.inf) & (self.lo > -np.inf)
 
     @property
     def mask_l(self) -> np.ndarray:
-        return self.lo == -np.inf
+        return (self.lo == -np.inf) & (self.hi < np.inf)
+
+    @property
+    def mask_free(self) -> np.ndarray:
+        return (self.lo == -np.inf) & (self.hi == np.inf)
+
+    @property
+    def mask_clipped(self) -> np.ndarray:
+        """Clipped-high or clipped-low: exactly one bound is infinite."""
+        return np.isinf(self.lo) != np.isinf(self.hi)
 
     @property
     def num_clipped(self) -> int:
-        return int(np.count_nonzero(self.lo != self.hi))
+        return int(np.count_nonzero(self.mask_clipped))
 
     def select(self, rows) -> ClipModel:
         """The model of the chosen frames of a batch (boolean or index rows).
@@ -116,9 +130,9 @@ def project_gamma(v: np.ndarray, model: ClipModel, out: np.ndarray | None = None
 
     Each sample is clamped into its box [lo, hi]: reliable samples are
     pinned to y, clipped-high samples raised to at least theta, clipped-low
-    samples lowered to at most -theta. For a batched model, v holds one
-    frame per row. The result goes to `out`, which may be v itself, else
-    to a new array.
+    samples lowered to at most -theta, free samples left as they are. For
+    a batched model, v holds one frame per row. The result goes to `out`,
+    which may be v itself, else to a new array.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != model.y.shape:

@@ -3,7 +3,9 @@
 `declip_signal` is four stage calls: `detect_masks` builds the signal's
 clip model, a `SegmentationPlan` lays frames over it, `solve_batch` solves
 the frames `restrict_frames` gathers (passing clip-free ones through), and
-`overlap_add` recombines them before a last consistency projection.
+`overlap_add` recombines them before a last consistency projection. A
+frame that reaches past the signal's end leaves its tail padding free:
+the solve fits only observed samples, and `overlap_add` drops the padding.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def declip_signal(
     restored = project_gamma(overlap_add(frames, plan), model)
     runtime = time.perf_counter() - t0
 
-    clipped = ~model.mask_r
+    clipped = model.mask_clipped
     report = DeclipReport(
         sdr_clipped_input=sdr(ref, y),
         sdr_restored=sdr(ref, restored),

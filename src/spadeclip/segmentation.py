@@ -7,7 +7,9 @@ normalization. The window is fixed by the frame length: a half-sample-
 shifted Hann, which is strictly positive so the normalization denominator
 never vanishes. A plan is built with its constructor,
 `SegmentationPlan(total_len, frame_len, hop)`, and holds its signal's
-length, so `overlap_add` rebuilds exactly that signal.
+length, so `overlap_add` rebuilds exactly that signal. The last frame may
+reach past the signal's end; `restrict_frames` makes those tail-padding
+samples free, so no frame is fitted to samples nobody observed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class SegmentationPlan:
     """Frame geometry over a signal of `total_len` samples.
 
     Frames of `frame_len` samples start every `hop` samples and cover the
-    signal; the last frame is filled by zero-padding the signal tail.
+    signal; the last frame may reach past its end, into the tail padding.
     Raises ValueError if a length is not an integer (numpy integers pass)
     or not positive, or if hop exceeds frame_len.
     """
@@ -66,15 +68,15 @@ class SegmentationPlan:
 
     @property
     def sample_index(self) -> np.ndarray:
-        """(num_frames, frame_len) positions in the zero-padded signal:
+        """(num_frames, frame_len) positions in the padded signal:
         row m holds the samples of frame m."""
         starts = np.arange(self.num_frames) * self.hop
         return starts[:, None] + np.arange(self.frame_len)
 
 
-def _frames_of(x: np.ndarray, plan: SegmentationPlan) -> np.ndarray:
-    """The plan's frames of x as rows of one array, zero-padded past the end."""
-    padded = np.zeros(plan.padded_len, dtype=x.dtype)
+def _frames_of(x: np.ndarray, plan: SegmentationPlan, fill: float) -> np.ndarray:
+    """The plan's frames of x as rows of one array, padded with `fill` past the end."""
+    padded = np.full(plan.padded_len, fill, dtype=x.dtype)
     padded[: len(x)] = x
     return padded[plan.sample_index]
 
@@ -99,9 +101,11 @@ def overlap_add(frames: np.ndarray, plan: SegmentationPlan) -> np.ndarray:
 def restrict_frames(model: ClipModel, plan: SegmentationPlan) -> ClipModel:
     """Clip model of every frame at once, one row per frame: y and the bounds
     restricted to the frame's range. Tail-padding samples beyond the signal
-    are reliable with y = 0."""
+    are free, bounds (-inf, +inf) with y = 0: nothing observed them, so the
+    solve leaves them where the synthesis puts them and `overlap_add` drops
+    them."""
     return ClipModel(
-        y=_frames_of(model.y, plan),
-        lo=_frames_of(model.lo, plan),
-        hi=_frames_of(model.hi, plan),
+        y=_frames_of(model.y, plan, 0.0),
+        lo=_frames_of(model.lo, plan, -np.inf),
+        hi=_frames_of(model.hi, plan, np.inf),
     )

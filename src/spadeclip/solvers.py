@@ -25,7 +25,10 @@ leading axis and returns the restored samples and a `FrameStats` per
 frame. One frame is a batch of one, `model.select(np.newaxis)`. The
 sparsity schedule depends on the iteration count alone, so all frames of
 a batch share k. A frame with no clipped sample is a fixed point of every
-variant, so `solve_batch` passes it through with 0 iterations.
+variant, so `solve_batch` passes it through with 0 iterations; free
+samples (a frame's tail padding past its signal's end) do not count as
+clipped, so a tail frame whose observed samples are all reliable is
+passed through too.
 
 Each variant's iteration is written once, as a kernel that advances a
 `SolverState` in place: apart from the two transforms, whose outputs the
@@ -259,7 +262,7 @@ def solve_batch(
     restored = model.y.copy()
     stats = [FrameStats(0, 0.0, 0, True)] * len(restored)
     # frame index of each row still in the batch
-    rows = np.flatnonzero(~model.mask_r.all(axis=-1))
+    rows = np.flatnonzero(model.mask_clipped.any(axis=-1))
     if not rows.size:
         return restored, stats  # nothing to solve: no transform runs on an empty batch
     model = model.select(rows)

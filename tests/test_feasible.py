@@ -136,11 +136,20 @@ def test_derived_masks_partition_and_match_thresholds(case):
             detect_masks(y, theta, delta)
         return
     m = detect_masks(y, theta, delta)
-    total = m.mask_r.astype(int) + m.mask_h.astype(int) + m.mask_l.astype(int)
-    assert np.all(total == 1)
-    for got, ref in zip((m.mask_r, m.mask_h, m.mask_l), _masks_reference(y, theta, delta)):
-        np.testing.assert_array_equal(got, ref)
-    assert m.num_clipped == np.count_nonzero(~m.mask_r)
+    # each row gains one free sample, as tail padding is: it is in mask_free alone
+    last = [(0, 0)] * (y.ndim - 1) + [(0, 1)]
+    m = ClipModel(
+        np.pad(m.y, last),
+        np.pad(m.lo, last, constant_values=-np.inf),
+        np.pad(m.hi, last, constant_values=np.inf),
+    )
+    masks = (m.mask_r, m.mask_h, m.mask_l, m.mask_free)
+    assert np.all(sum(mask.astype(int) for mask in masks) == 1)
+    ref_r, ref_h, ref_l = _masks_reference(y, theta, delta)
+    for got, ref in zip(masks, (ref_r, ref_h, ref_l, np.zeros_like(ref_r))):
+        np.testing.assert_array_equal(got[..., :-1], ref)
+    assert np.all(m.mask_free[..., -1])
+    assert m.num_clipped == np.count_nonzero(~ref_r)
 
 
 @given(
@@ -148,19 +157,19 @@ def test_derived_masks_partition_and_match_thresholds(case):
     st.integers(1, 12),
     st.integers(1, 12),
 )
-def test_restrict_frames_padding_is_reliable_zero(y, frame_len, hop):
+def test_restrict_frames_padding_is_free(y, frame_len, hop):
     # row m, column n of each field holds the global sample pos = m*hop + n;
-    # padding past the signal is reliable, lo = hi = y = 0
+    # padding past the signal is free: y = 0, lo = -inf, hi = +inf
     hop = min(hop, frame_len)
     plan = SegmentationPlan(len(y), frame_len, hop)
     model = detect_masks(y, 0.5)
     frames = restrict_frames(model, plan)
     pos = np.arange(plan.num_frames)[:, None] * hop + np.arange(frame_len)
     pad = pos >= len(y)
-    assert np.all(frames.mask_r[pad])
-    for name in ("y", "lo", "hi"):
+    np.testing.assert_array_equal(frames.mask_free, pad)
+    for name, fill in (("y", 0.0), ("lo", -np.inf), ("hi", np.inf)):
         got = getattr(frames, name)
-        assert np.all(got[pad] == 0), name
+        assert np.all(got[pad] == fill), name
         np.testing.assert_array_equal(got[~pad], getattr(model, name)[pos[~pad]], err_msg=name)
 
 

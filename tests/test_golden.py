@@ -11,11 +11,14 @@ module as a script from the root of the repository:
 
     PYTHONPATH=src python tests/test_golden.py
 
-The earlier file, written by the per-frame solver before the batched solver
-core replaced it, pinned the full-spectrum frame. So that the new pin does
-not rest on the code it pins, `test_dense_operator_reproduces_golden` runs
-the same pipeline with the FFT-free dense-matrix operator of
-`spadeclip.verification` and must reproduce it to the same tolerances.
+The file before that, written by the per-frame solver before the batched
+solver core replaced it, pinned the full-spectrum frame. The file was
+regenerated once more when tail padding past the signal's end became free
+instead of a reliable 0: only frame 12 of 13, the one that reaches 3
+samples past the end, changed. So that the pin does not rest on the code
+it pins, `test_dense_operator_reproduces_golden` runs the same pipeline
+with the FFT-free dense-matrix operator of `spadeclip.verification` and
+must reproduce it to the same tolerances.
 
 Frames with a clipped sample must reproduce the pinned iterations, final k
 and convergence exactly, and the output must stay within 1e-12 of the
@@ -101,7 +104,7 @@ def golden():
 def test_golden_signal_mixes_clipped_and_clip_free_frames(golden):
     y = golden["y"]
     np.testing.assert_array_equal(y, golden_signal())
-    assert (len(y) - FRAME_LEN) % HOP != 0  # the last frame is zero-padded
+    assert (len(y) - FRAME_LEN) % HOP != 0  # the last frame reaches past the end
     flags = _clipped_frames(y)
     assert flags.any() and not flags.all()
 

@@ -315,7 +315,12 @@ def test_run_solver_median_sdr_gain_over_phase_sets(variant):
 
 def test_solve_batch_transforms_nothing_without_a_clipped_sample():
     y = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 16))
-    model = detect_masks(y, 1.0, 0.0)
+    # the last row ends in free samples, as a frame past its signal's end does
+    y[-1, 10:] = 0.0
+    reliable = detect_masks(y, 1.0, 0.0)
+    lo, hi = reliable.lo.copy(), reliable.hi.copy()
+    lo[-1, 10:], hi[-1, 10:] = -np.inf, np.inf
+    model = ClipModel(y, lo, hi)
     no_frame = object()  # any analyze or synthesize call would raise
     for variant in Variant:
         x, stats = solve_batch(model, no_frame, SolverParams(variant=variant))

@@ -32,9 +32,37 @@ MUTANTS = [
     Mutant(
         "frame hi taken from lo",
         "spadeclip/segmentation.py",
-        "hi=_frames_of(model.hi, plan)",
-        "hi=_frames_of(model.lo, plan)",
-        ("tests/test_feasible.py::test_restrict_frames_padding_is_reliable_zero",),
+        "hi=_frames_of(model.hi, plan, np.inf)",
+        "hi=_frames_of(model.lo, plan, np.inf)",
+        ("tests/test_feasible.py::test_restrict_frames_padding_is_free",),
+    ),
+    Mutant(
+        "tail padding pinned to a reliable 0",
+        "spadeclip/segmentation.py",
+        "lo=_frames_of(model.lo, plan, -np.inf),\n        hi=_frames_of(model.hi, plan, np.inf),",
+        "lo=_frames_of(model.lo, plan, 0.0),\n        hi=_frames_of(model.hi, plan, 0.0),",
+        (
+            "tests/test_feasible.py::test_restrict_frames_padding_is_free",
+            "tests/test_cli.py::test_declip_signal_median_sdr_gain_over_short_tones",
+        ),
+    ),
+    Mutant(
+        "clip-free rule counts free samples as clipped",
+        "spadeclip/solvers.py",
+        "np.flatnonzero(model.mask_clipped.any(axis=-1))",
+        "np.flatnonzero(~model.mask_r.all(axis=-1))",
+        ("tests/test_solvers.py::test_solve_batch_transforms_nothing_without_a_clipped_sample",),
+    ),
+    Mutant(
+        "declip_signal without its final projection",
+        "spadeclip/pipeline.py",
+        "restored = project_gamma(overlap_add(frames, plan), model)",
+        "restored = overlap_add(frames, plan)",
+        (
+            "tests/test_acceptance.py::test_criterion_8_feasibility_and_passthrough[Variant.ASPADE]",
+            "tests/test_acceptance.py::test_criterion_8_feasibility_and_passthrough[Variant.SSPADE_ORIG]",
+            "tests/test_acceptance.py::test_criterion_8_feasibility_and_passthrough[Variant.SSPADE_DR]",
+        ),
     ),
     Mutant(
         "even P: Nyquist weighted sqrt(2/P)",

@@ -32,17 +32,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = runpy.run_path(str(ROOT / "tools" / "mutants.py"))["MUTANTS"]
-# Hypothesis imports libcst to report a failing example; where libcst's
-# import warns, the suite's `filterwarnings = error` turns that report into
-# a pytest internal error (exit 3) instead of a failure (exit 1)
-LIBCST_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
 
 def run_pytest(tree: Path, *ids: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-profile=ci", "-W", LIBCST_WARNING, *ids],
+         "--hypothesis-profile=ci", *ids],
         cwd=tree, env=env, capture_output=True, text=True,
     )  # fmt: skip
 
