@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -198,17 +199,94 @@ def test_cli_rejects_a_truncated_wav(tmp_path, capsys, monkeypatch, command, arg
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.wav", "whole.wav"]
 
 
-def test_read_wav_passes_other_scipy_warnings(tmp_path):
-    # an unknown chunk before the data is skipped with a warning, not refused
-    blob = _whole_wav(tmp_path / "whole.wav", np.int16)
-    data = blob.index(b"data")
-    junk = b"junk" + (4).to_bytes(4, "little") + b"\0" * 4
+def test_read_wav_skips_unknown_chunks(tmp_path):
+    # an odd-sized unknown chunk before the data is skipped with its pad byte, not refused
+    chunks = wav_chunks(_whole_wav(tmp_path / "whole.wav", np.int16))
     src = tmp_path / "junk.wav"
-    riff_size = int.from_bytes(blob[4:8], "little") + len(junk)
-    src.write_bytes(blob[:4] + riff_size.to_bytes(4, "little") + blob[8:data] + junk + blob[data:])
-    with pytest.warns(wavfile.WavFileWarning, match="not understood"):
-        _, loaded = read_wav(str(src))
-    np.testing.assert_array_equal(loaded, read_wav(str(tmp_path / "whole.wav"))[1])
+    src.write_bytes(pcm_file(chunks[b"fmt "], chunks[b"data"], (b"junk", b"\1" * 3)))
+    _, loaded = read_wav(str(src))
+    assert loaded.tobytes() == read_wav(str(tmp_path / "whole.wav"))[1].tobytes()
+
+
+def riff(*chunks: tuple[bytes, bytes], big: bool = False) -> bytes:
+    """A RIFF WAVE file (RIFX if big) of (id, payload) chunks, each padded to an even size."""
+    e = ">" if big else "<"
+    body = b"WAVE" + b"".join(
+        cid + struct.pack(e + "I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+        for cid, payload in chunks
+    )
+    return (b"RIFX" if big else b"RIFF") + struct.pack(e + "I", len(body)) + body
+
+
+def wav_chunks(blob: bytes) -> dict[bytes, bytes]:
+    """The chunk payloads, by id, of a well-formed little-endian WAV file."""
+    chunks, pos = {}, 12
+    while pos < len(blob):
+        size = int.from_bytes(blob[pos + 4 : pos + 8], "little")
+        chunks[blob[pos : pos + 4]] = blob[pos + 8 : pos + 8 + size]
+        pos += 8 + size + size % 2
+    return chunks
+
+
+def pcm_fmt(channels=1, block_align=2, bits=16, tag=1, e="<") -> bytes:
+    """A 16-byte `fmt ` payload whose byte rate agrees with its block_align."""
+    return struct.pack(e + "HHIIHH", tag, channels, RATE, RATE * block_align, block_align, bits)
+
+
+@pytest.mark.parametrize(
+    "channels,block_align",
+    [(0, 2), (2, 0), (2, 3)],
+    ids=["no-channels", "block-align-0", "block-align-3-for-2-channels"],
+)
+def test_declip_rejects_a_malformed_pcm_header(tmp_path, capsys, channels, block_align):
+    src, out = tmp_path / "bad.wav", tmp_path / "out.wav"
+    src.write_bytes(riff((b"fmt ", pcm_fmt(channels, block_align)), (b"data", bytes(12))))
+    code, text = run_cli("declip", "--input", src, "--output", out)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith(f"error: {src}: ")
+    assert not out.exists()
+
+
+SUBFORMAT_TAIL = bytes.fromhex("800000aa00389b71")  # a KSDATAFORMAT_SUBTYPE GUID's last 8 bytes
+
+
+def pcm_file(fmt: bytes, data: bytes = bytes(4), *extra: tuple[bytes, bytes]) -> bytes:
+    """A WAV file of the given `fmt ` and `data` payloads, the chunks of extra between them."""
+    return riff((b"fmt ", fmt), *extra, (b"data", data))
+
+
+@pytest.mark.parametrize(
+    "blob,message",
+    [
+        (b"RF64" + bytes(4) + b"WAVE", "RF64"),
+        (b"RIFF" + struct.pack("<I", 4) + b"AVI ", "not a RIFF/WAVE file"),
+        (riff((b"data", bytes(4))), "no 'fmt ' chunk of 16 bytes"),
+        (riff((b"fmt ", pcm_fmt())), "no 'data' chunk"),
+        (pcm_file(pcm_fmt(block_align=1, bits=8, tag=6)), "A-law"),
+        (pcm_file(pcm_fmt(block_align=1, bits=8, tag=7)), "μ-law"),
+        (pcm_file(pcm_fmt(block_align=3, bits=24, tag=3), bytes(6)), "24-bit float"),
+        (pcm_file(pcm_fmt(tag=2)), "format 0x0002"),
+        (
+            # a GUID whose tail is not KSDATAFORMAT_SUBTYPE's
+            pcm_file(pcm_fmt(tag=0xFFFE) + struct.pack("<HHIIHH", 22, 16, 0, 1, 0, 16) + bytes(8)),
+            "unknown subformat",
+        ),
+        (pcm_file(pcm_fmt()[:14]), "no 'fmt ' chunk of 16 bytes"),
+        (pcm_file(pcm_fmt(channels=2, block_align=4), bytes(6)), "inside a frame"),
+        # inside a whole RIFF chunk: a data chunk of 4 bytes that declares 8, a bare chunk size
+        (pcm_file(pcm_fmt()).replace(b"data\x04", b"data\x08"), "4 of 8 bytes"),
+        (riff((b"fmt ", pcm_fmt()), (b"data", bytes(4)), (b"", b"")), "chunk header cut short"),
+    ],
+    ids=["rf64", "avi", "no-fmt", "no-data", "a-law", "mu-law", "float24", "adpcm",
+         "extensible-unknown", "fmt-short", "partial-frame", "data-cut", "header-cut"],
+)  # fmt: skip
+def test_read_wav_names_what_it_rejects(tmp_path, blob, message):
+    src = tmp_path / "bad.wav"
+    src.write_bytes(blob)
+    prefix = f"^{re.escape(str(src))}: cannot read as WAV: "
+    with pytest.raises(ValueError, match=f"{prefix}.*{message}"):
+        read_wav(str(src))
 
 
 @pytest.mark.parametrize("command", ["clip", "declip"])
@@ -436,11 +514,11 @@ def test_pcm_widths_decode_to_the_grid(tmp_path, bits):
 def test_unsupported_sample_type_is_named(tmp_path, capsys):
     src = tmp_path / "pcm64.wav"
     wavfile.write(src, RATE, np.zeros(64, dtype=np.int64))
-    with pytest.raises(ValueError, match="int64"):
+    with pytest.raises(ValueError, match="64-bit PCM"):
         read_wav(str(src))
     code, _ = run_cli("clip", "--input", src, "--output", tmp_path / "o.wav", "--theta", 0.5)
     assert code == 2
-    assert "int64" in capsys.readouterr().err
+    assert "64-bit PCM" in capsys.readouterr().err
 
 
 STEREO_RATE = 44100
@@ -591,15 +669,26 @@ def run_fresh(script):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_library_and_verify_load_no_scipy():
-    # only reading or writing a WAV file imports scipy
-    code, mods = run_fresh(
-        "import json, sys, spadeclip, spadeclip.cli\n"
-        "code = spadeclip.cli.main(['verify', '--trials', '2'])\n"
+def test_no_command_loads_scipy(clean_wav, tmp_path):
+    # WAV files are read and written with numpy alone; scipy is a test dependency
+    out = tmp_path / "out"
+    commands = [
+        ["clip", "--input", clean_wav, "--output", out / "clipped.wav", "--theta", "0.5"],
+        ["declip", "--input", out / "clipped.wav", "--output", out / "restored.wav"],
+        ["bench", "--input", clean_wav, "--output", out / "bench.csv", "--thetas", "0.5",
+         "--variants", "sspade"],
+        ["verify", "--trials", "2"],
+    ]
+    argvs = [[str(a) for a in argv] for argv in commands]
+    out.mkdir()
+    codes, mods = run_fresh(
+        "import contextlib, io, json, sys, spadeclip.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [spadeclip.cli.main(argv) for argv in {argvs!r}]\n"
         "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print(json.dumps([code, mods]))\n"
+        "print(json.dumps([codes, mods]))\n"
     )
-    assert code == 0
+    assert codes == [0, 0, 0, 0]
     assert mods == []
 
 
@@ -793,6 +882,87 @@ def _on_format_grid(x, fmt):
     return x.astype(np.float32).astype(float) if fmt == "float32" else x
 
 
+def write_in_format(path, fmt: str, x: np.ndarray) -> None:
+    """Write (n, channels) samples on fmt's grid as a file of that format, without wavio."""
+    if WAV_FORMATS[fmt] is None:
+        wavfile.write(path, RATE, x.astype(fmt))
+    else:
+        write_pcm(path, WAV_FORMATS[fmt], x)  # 24-bit through the stdlib
+
+
+def scipy_decode(path) -> np.ndarray:
+    """The samples scipy reads from path, scaled as read_wav documents."""
+    _, data = wavfile.read(path)
+    if data.dtype == np.uint8:
+        return (data - 128.0) / 128.0
+    if data.dtype.kind == "i":  # scipy left-justifies 24-bit PCM in int32
+        return data / 2.0 ** (8 * data.dtype.itemsize - 1)
+    return data.astype(np.float64)
+
+
+def rewrap(blob: bytes, *, extensible=False, extra=(), big=False) -> bytes:
+    """The samples of blob, a plain little-endian WAV file, in another file:
+    a WAVE_FORMAT_EXTENSIBLE `fmt ` chunk if extensible, the (id, payload)
+    chunks of extra before the data, and RIFX byte order if big."""
+    chunks, e = wav_chunks(blob), ">" if big else "<"
+    tag, *fields = struct.unpack("<HHIIHH", chunks[b"fmt "][:16])
+    fmt = struct.pack(e + "HHIIHH", 0xFFFE if extensible else tag, *fields)
+    bits = fields[-1]
+    if extensible:  # cbSize, valid bits, channel mask, the GUID {tag-0000-0010-8000-00AA00389B71}
+        fmt += struct.pack(e + "HHIIHH", 22, bits, 0, tag, 0, 0x10) + SUBFORMAT_TAIL
+    data = chunks[b"data"]
+    if big:  # every sample's bytes reversed
+        data = np.frombuffer(data, np.uint8).reshape(-1, bits // 8)[:, ::-1].tobytes()
+    return riff((b"fmt ", fmt), *extra, (b"data", data), big=big)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fmt=st.sampled_from(sorted(WAV_FORMATS)),
+    channels=st.integers(1, 3),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    extensible=st.booleans(),
+    junk=st.integers(0, 3),
+    big=st.booleans(),
+)
+def test_read_wav_decodes_as_scipy(fmt, channels, n, seed, extensible, junk, big):
+    x = _on_format_grid(np.random.default_rng(seed).uniform(-1, 0.99, (n, channels)), fmt)
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, src = Path(tmp) / "plain.wav", Path(tmp) / "src.wav"
+        write_in_format(plain, fmt, x)
+        odd = (b"odd ", bytes(range(2 * junk + 1)))  # an unknown chunk followed by a pad byte
+        src.write_bytes(rewrap(plain.read_bytes(), extensible=extensible, extra=[odd], big=big))
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):  # the odd chunk
+            expected = scipy_decode(src)
+        rate, samples = read_wav(str(src))
+    assert rate == RATE
+    assert samples.shape == expected.shape
+    assert samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("fmt", sorted(WAV_FORMATS))
+def test_read_wav_reads_rifx_as_its_riff_twin(tmp_path, fmt):
+    riff_path, rifx_path = tmp_path / "riff.wav", tmp_path / "rifx.wav"
+    write_in_format(riff_path, fmt, GRID)
+    rifx_path.write_bytes(rewrap(riff_path.read_bytes(), big=True))
+    assert rifx_path.read_bytes()[:4] == b"RIFX"
+    rate, samples = read_wav(str(rifx_path))
+    assert rate == RATE
+    assert samples.tobytes() == read_wav(str(riff_path))[1].tobytes() == GRID.tobytes()
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+def test_write_wav_writes_scipys_bytes(tmp_path, dtype, channels):
+    x = (np.random.default_rng(channels).standard_normal((5, channels)) * 1000).astype(dtype)
+    x = x[:, 0] if channels == 1 else x
+    write_wav(str(tmp_path / "ours.wav"), RATE, x)
+    # any array but a float32 one is written as float64
+    wavfile.write(tmp_path / "scipy.wav", RATE, x if dtype is np.float32 else x.astype(np.float64))
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
 @st.composite
 def declip_wav_cases(draw):
     fmt = draw(st.sampled_from(sorted(WAV_FORMATS)))
@@ -818,10 +988,7 @@ def test_declip_wav_keeps_the_invariants(case):
     fmt, y, frame_len, hop, theta_arg, variant = case
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "in.wav", Path(tmp) / "out.wav"
-        if WAV_FORMATS[fmt] is None:
-            wavfile.write(src, RATE, y.astype(fmt))
-        else:
-            write_pcm(src, WAV_FORMATS[fmt], y)  # 24-bit through the stdlib
+        write_in_format(src, fmt, y)
         _, y = read_wav(str(src))  # as the CLI reads it: shape (n,) when mono
         code, _ = run_cli(
             "declip", "--input", src, "--output", out, "--theta", theta_arg,
@@ -864,10 +1031,7 @@ def test_clip_wav_keeps_the_invariants(case):
     fmt, x, theta = case
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "in.wav", Path(tmp) / "out.wav"
-        if WAV_FORMATS[fmt] is None:
-            wavfile.write(src, RATE, x.astype(fmt))
-        else:
-            write_pcm(src, WAV_FORMATS[fmt], x)
+        write_in_format(src, fmt, x)
         _, x = read_wav(str(src))  # as the CLI reads it: shape (n,) when mono
         code, _ = run_cli("clip", "--input", src, "--output", out, "--theta", repr(theta))
         assert code == 0

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spadeclip.feasible import ClipModel, detect_masks, hard_clip, project_gamma
+from spadeclip.feasible import ClipModel, auto_theta, detect_masks, hard_clip, project_gamma
 from spadeclip.frames import make_frame
 from spadeclip.segmentation import SegmentationPlan, restrict_frames
 from spadeclip.verification import project_gamma_coef
@@ -29,6 +29,13 @@ def test_hard_clip_rejects_bad_theta():
         hard_clip(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         hard_clip(np.array([1.0]), -1.0)
+
+
+def test_auto_theta_is_the_peak_above_delta_only():
+    assert auto_theta(np.array([0.25, -0.5]), 1e-6) == 0.5
+    # a peak within delta_detect of silence, the boundary included, clips nothing
+    assert auto_theta(np.array([1e-6, -1e-6]), 1e-6) == np.inf
+    assert auto_theta(np.zeros(3), 1e-6) == np.inf
 
 
 def test_detect_masks_examples():

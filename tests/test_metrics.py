@@ -17,6 +17,8 @@ def test_sdr_known_values():
     assert sdr(x, x * 1e170) == pytest.approx(-3400.0, abs=1e-9)
     assert sdr(x * 1e-200, x * 1e200) == pytest.approx(-8000.0, abs=1e-9)
     assert sdr(x * 1e308, -x * 1e308) == sdr(x, -x)  # an error past the float range
+    # a subnormal peak: the power of two that scales it is capped at 2**1023
+    assert sdr(np.array([5e-324, 0.0]), np.zeros(2)) == 0.0
 
 
 def test_sdr_errors():

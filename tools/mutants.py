@@ -119,4 +119,45 @@ MUTANTS = [
             "tests/test_solvers.py::test_hard_threshold_matches_stable_argsort",
         ),
     ),
+    Mutant(
+        "auto theta at a peak equal to delta",
+        "spadeclip/feasible.py",
+        "return peak if peak > delta_detect else np.inf",
+        "return peak if peak >= delta_detect else np.inf",
+        ("tests/test_feasible.py::test_auto_theta_is_the_peak_above_delta_only",),
+    ),
+    Mutant(
+        "norm scale past the float range",
+        "spadeclip/metrics.py",
+        "exp = max(exp, -1023)",
+        "exp = max(exp, -1024)",
+        ("tests/test_metrics.py::test_sdr_known_values",),
+    ),
+    Mutant(
+        "PCM bytes placed low in the int32",
+        "spadeclip/wavio.py",
+        "word[:, 4 - width + j] = raw[:, j]",
+        "word[:, j] = raw[:, j]",
+        (
+            "tests/test_cli.py::test_pcm_widths_decode_to_the_grid[24]",
+            "tests/test_cli.py::test_read_wav_reads_rifx_as_its_riff_twin[pcm24]",
+        ),
+    ),
+    Mutant(
+        "8-bit PCM read as signed",
+        "spadeclip/wavio.py",
+        "word[:, 3] ^= 0x80 if width == 1 else 0",
+        "word[:, 3] ^= 0x00 if width == 1 else 0",
+        ("tests/test_cli.py::test_pcm_widths_decode_to_the_grid[8]",),
+    ),
+    Mutant(
+        "pad byte after an odd chunk ignored",
+        "spadeclip/wavio.py",
+        "pos += 8 + size + size % 2",
+        "pos += 8 + size",
+        (
+            "tests/test_cli.py::test_read_wav_skips_unknown_chunks",
+            "tests/test_cli.py::test_read_wav_decodes_as_scipy",
+        ),
+    ),
 ]
