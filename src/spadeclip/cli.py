@@ -22,18 +22,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_IO = 3
 
-CSV_FIELDS = [
-    "variant",
-    "theta",
-    "redundancy",
-    "sdr_in_db",
-    "sdr_out_db",
-    "sdr_clipped_db",
-    "mean_iters",
-    "runtime_s",
-]
-
-
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     p.add_argument("--hop", type=int, default=DEFAULT_HOP)
@@ -44,6 +32,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 
 def _csv_row(variant: str, theta, redundancy, report) -> dict:
+    # the CSV schema: the keys, in order, are the header
     return {
         "variant": variant,
         "theta": theta,
@@ -90,7 +79,7 @@ def _as_written(samples: np.ndarray, source: np.ndarray, theta: float) -> np.nda
 
 
 def _write_csv(fh, rows) -> None:
-    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+    writer = csv.DictWriter(fh, fieldnames=rows[0])  # rows are never empty
     writer.writeheader()
     writer.writerows(rows)
 

@@ -2,10 +2,11 @@
 
 `declip_signal` is four stage calls: `detect_masks` builds the signal's
 clip model, a `SegmentationPlan` lays frames over it, `solve_batch` solves
-the frames `restrict_frames` gathers (passing clip-free ones through), and
-`overlap_add` recombines them before a last consistency projection. A
-frame that reaches past the signal's end leaves its tail padding free:
-the solve fits only observed samples, and `overlap_add` drops the padding.
+the frames `restrict_frames` gathers (a clip-free one passes through with
+`FrameStats(0, 0.0, True)`), and `overlap_add` recombines them before a
+last consistency projection. A frame that reaches past the signal's end
+leaves its tail padding free: the solve fits only observed samples, and
+`overlap_add` drops the padding.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ def declip_signal(
     field infinite. A `y` that is empty, not one-dimensional or not
     finite, or a `reference` of another shape, holding a NaN or an
     infinity, or all-zero while `y` is not (no SDR against it is defined),
-    raises a ValueError before any solve. A silent `y` with a silent
-    reference gives infinite SDRs.
+    raises a ValueError before detection. So does, after detection and
+    before the solve, a `reference` that is zero on every clipped sample of
+    a `y` with some: the SDR on the clipped samples is undefined. A silent
+    `y` with a silent reference gives infinite SDRs.
 
     Every frame goes to one `solve_batch` call, which passes the frames
     with no clipped sample through with 0 iterations. Reliable samples of
@@ -70,13 +73,15 @@ def declip_signal(
             raise ValueError("reference is all-zero but y is not: its SDR is undefined")
     t0 = time.perf_counter()
     model = detect_masks(y, theta, delta_detect)
+    clipped = model.mask_clipped
+    if reference is not None and clipped.any() and not ref[clipped].any():
+        raise ValueError(f"reference is zero on all {model.num_clipped} clipped samples: no SDR on them")
     plan = SegmentationPlan(len(y), frame_len, hop)
     op = make_frame(frame_len, redundancy)
     frames, per_frame = solve_batch(restrict_frames(model, plan), op, params)
     restored = project_gamma(overlap_add(frames, plan), model)
     runtime = time.perf_counter() - t0
 
-    clipped = model.mask_clipped
     report = DeclipReport(
         sdr_clipped_input=sdr(ref, y),
         sdr_restored=sdr(ref, restored),

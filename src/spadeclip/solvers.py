@@ -5,7 +5,8 @@ projection onto the clipping-consistent set, accumulate the constraint
 residual in a scaled dual variable, and grow the sparsity target k by s
 every r iterations until the residual is at most epsilon or k passes the
 coefficient count; the last iterate is the result. k is a function of the
-iteration count alone, `SolverParams.sparsity`, so no state stores it.
+iteration count alone, `SolverParams.sparsity`, so no state or stats
+store it: a frame stopped at k = `params.sparsity(iterations - converged)`.
 
 * ASPADE and SSPADE_ORIG share one coefficient-domain iteration: threshold
   the coefficient iterate w plus the coefficient dual u, then project back
@@ -35,10 +36,11 @@ Each variant's iteration is written once, as a kernel that advances a
 kernel adopts, an iteration writes into the buffers of its own state
 that it has used up. `init_state` and `step` are the stepping interface,
 on one frame or a batch; the lockstep oracle and the tests use them.
-`step` runs one kernel call in place and returns None; `solve_batch` is
-`init_state` plus a loop of `step` calls over one state per batch,
-compacted only when frames retire. The kernels call `hard_threshold`
-and `project_gamma` with `out=` the buffer they overwrite.
+`step` runs one kernel call in place and returns its residual, which no
+later step reads; `solve_batch` is `init_state` plus a loop of `step`
+calls over one state per batch, compacted only when frames retire. The
+kernels call `hard_threshold` and `project_gamma` with `out=` the buffer
+they overwrite.
 """
 
 from __future__ import annotations
@@ -112,16 +114,14 @@ class SolverState:
     `step` advances a state in place, so the class is not frozen; a caller
     that needs an earlier value copies it before the step. `w` is the
     coefficient iterate of ASPADE and SSPADE_ORIG, None for SSPADE_DR. For
-    a batch, the arrays have a leading frame axis and `residual` holds one
-    value per frame; `i` is shared by the batch. The next step's k is
-    `params.sparsity(state.i)`.
+    a batch, the arrays have a leading frame axis; `i` is shared by the
+    batch. The next step's k is `params.sparsity(state.i)`.
     """
 
     x_hat: np.ndarray
     z_bar: np.ndarray
     u: np.ndarray
     i: int = 0
-    residual: float | np.ndarray = np.inf
     w: np.ndarray | None = None
 
 
@@ -229,18 +229,17 @@ def _dr_kernel(state: SolverState, model: ClipModel, op: FrameOperator, k: int):
     return _norm(np.subtract(dz, x, out=dz))
 
 
-def step(state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams) -> None:
-    """One iteration of params' variant on state, in place.
+def step(state: SolverState, model: ClipModel, op: FrameOperator, params: SolverParams):
+    """One iteration of params' variant on state, in place; returns its residual.
 
-    Runs the variant's kernel at k = `params.sparsity(state.i)`, then sets
-    the residual and counts the iteration.
+    Runs the variant's kernel at k = `params.sparsity(state.i)` and counts
+    the iteration. The residual is a float for one frame, else one per row.
     """
     k = params.sparsity(state.i)
-    if params.variant is Variant.SSPADE_DR:
-        state.residual = _dr_kernel(state, model, op, k)
-    else:
-        state.residual = _coef_kernel(state, model, op, k, params.variant is Variant.ASPADE)
     state.i += 1
+    if params.variant is Variant.SSPADE_DR:
+        return _dr_kernel(state, model, op, k)
+    return _coef_kernel(state, model, op, k, params.variant is Variant.ASPADE)
 
 
 def solve_batch(
@@ -250,17 +249,16 @@ def solve_batch(
 
     Returns the restored frames, one per row, and each frame's stats. A
     frame with no clipped sample is returned as y with
-    `FrameStats(0, 0.0, 0, True)`. Every other frame iterates until its
+    `FrameStats(0, 0.0, True)`. Every other frame iterates until its
     residual is <= epsilon (converged) or its k exceeds the coefficient
     count `op.coeff_len` (not converged), and then leaves the batch, so the
     other frames go on without it. Either way the frame returns its last
-    iterate, which is clipping-consistent, with that iterate's residual and
-    k: a converged frame reports the k it converged at, a capped one the
-    advanced k that passed the cap. Non-convergence is not an error. A
-    frame's result does not depend on the other frames in the batch.
+    iterate, which is clipping-consistent, with that iterate's residual.
+    Non-convergence is not an error. A frame's result does not depend on
+    the other frames in the batch.
     """
     restored = model.y.copy()
-    stats = [FrameStats(0, 0.0, 0, True)] * len(restored)
+    stats = [FrameStats(0, 0.0, True)] * len(restored)
     # frame index of each row still in the batch
     rows = np.flatnonzero(model.mask_clipped.any(axis=-1))
     if not rows.size:
@@ -268,18 +266,16 @@ def solve_batch(
     model = model.select(rows)
     state = init_state(model, op, params)
     while rows.size:
-        step(state, model, op, params)
-        done = state.residual <= params.epsilon
+        residual = step(state, model, op, params)
+        done = residual <= params.epsilon
         retired = done | (params.sparsity(state.i) > op.coeff_len)
         if retired.any():
             restored[rows[retired]] = state.x_hat[retired]
-            for m, res, c in zip(rows[retired], state.residual[retired], done[retired]):
-                # a converged frame reports the k it ran at, a capped one the next
-                final_k = params.sparsity(state.i - bool(c))
-                stats[m] = FrameStats(state.i, float(res), final_k, bool(c))
+            for m, res, c in zip(rows[retired], residual[retired], done[retired]):
+                stats[m] = FrameStats(state.i, float(res), bool(c))
             stay = ~retired
             rows = rows[stay]
-            # `i` is shared; the next step sets the residual
+            # `i` is shared by the batch
             state.x_hat, state.z_bar, state.u = state.x_hat[stay], state.z_bar[stay], state.u[stay]
             if state.w is not None:
                 state.w = state.w[stay]

@@ -58,7 +58,7 @@ def _chunks(riff: memoryview, e: str) -> dict[bytes, memoryview]:
 
 def _decode(blob: memoryview) -> tuple[int, np.ndarray]:
     """(rate, float64 samples of shape (n, channels)) of a WAV file's bytes."""
-    if len(blob) < 12 or blob[:4] not in (b"RIFF", b"RIFX") or blob[8:12] != b"WAVE":
+    if blob[:4] not in (b"RIFF", b"RIFX") or blob[8:12] != b"WAVE":
         rf64 = blob[:4] == b"RF64"
         raise ValueError("RF64 files are not supported" if rf64 else "not a RIFF/WAVE file")
     e = "<" if blob[:4] == b"RIFF" else ">"

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import spadeclip
-from spadeclip.cli import CSV_FIELDS, main
+from spadeclip.cli import main
 from spadeclip.feasible import DEFAULT_DELTA_DETECT, detect_masks, hard_clip, project_gamma
 from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
@@ -30,6 +30,10 @@ from spadeclip.verification import CheckReport
 from spadeclip.wavio import read_wav, write_wav
 
 RATE = 8000
+# the CSV schema README documents, for `declip --csv` and `bench`
+CSV_HEADER = (
+    "variant,theta,redundancy,sdr_in_db,sdr_out_db,sdr_clipped_db,mean_iters,runtime_s"
+).split(",")
 
 
 def sparse_signal(n=2048, amp=1.0):
@@ -267,6 +271,8 @@ def pcm_file(fmt: bytes, data: bytes = bytes(4), *extra: tuple[bytes, bytes]) ->
         (pcm_file(pcm_fmt(block_align=1, bits=8, tag=7)), "μ-law"),
         (pcm_file(pcm_fmt(block_align=3, bits=24, tag=3), bytes(6)), "24-bit float"),
         (pcm_file(pcm_fmt(tag=2)), "format 0x0002"),
+        # a 5-byte container, two whole samples of it
+        (pcm_file(pcm_fmt(block_align=5, bits=33), bytes(10)), "33-bit PCM"),
         (
             # a GUID whose tail is not KSDATAFORMAT_SUBTYPE's
             pcm_file(pcm_fmt(tag=0xFFFE) + struct.pack("<HHIIHH", 22, 16, 0, 1, 0, 16) + bytes(8)),
@@ -278,7 +284,7 @@ def pcm_file(fmt: bytes, data: bytes = bytes(4), *extra: tuple[bytes, bytes]) ->
         (pcm_file(pcm_fmt()).replace(b"data\x04", b"data\x08"), "4 of 8 bytes"),
         (riff((b"fmt ", pcm_fmt()), (b"data", bytes(4)), (b"", b"")), "chunk header cut short"),
     ],
-    ids=["rf64", "avi", "no-fmt", "no-data", "a-law", "mu-law", "float24", "adpcm",
+    ids=["rf64", "avi", "no-fmt", "no-data", "a-law", "mu-law", "float24", "adpcm", "pcm33",
          "extensible-unknown", "fmt-short", "partial-frame", "data-cut", "header-cut"],
 )  # fmt: skip
 def test_read_wav_names_what_it_rejects(tmp_path, blob, message):
@@ -406,7 +412,7 @@ def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
         reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
-    assert header == CSV_FIELDS
+    assert header == CSV_HEADER
     assert len(rows) == 4
     for row in rows:
         rec = dict(zip(header, row))
@@ -414,7 +420,7 @@ def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
     # without --output the same CSV, runtime_s aside, goes to stdout
     code, text = run_cli(*args)
     assert code == 0
-    t = CSV_FIELDS.index("runtime_s")
+    t = CSV_HEADER.index("runtime_s")
     stdout_table = [r[:t] + r[t + 1 :] for r in csv.reader(io.StringIO(text))]
     assert stdout_table == [r[:t] + r[t + 1 :] for r in [header] + rows]
 
@@ -556,7 +562,7 @@ def test_declip_keeps_channels(tmp_path, theta):
     assert "channel 1: clipped samples: 0 of 8000" in text
     with open(report) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 and list(rows[0]) == CSV_FIELDS
+    assert len(rows) == 2 and list(rows[0]) == CSV_HEADER
     assert float(rows[0]["mean_iters"]) > 0 and float(rows[1]["mean_iters"]) == 0
 
 
@@ -791,6 +797,21 @@ def test_declip_signal_rejects_a_non_finite_reference(bad):
     y = np.clip(x, -0.4, 0.4)
     x[7] = bad
     with pytest.raises(ValueError, match="reference holds non-finite samples"):
+        declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=x)
+
+
+def test_declip_signal_rejects_a_reference_zero_on_every_clipped_sample(monkeypatch):
+    import spadeclip.pipeline
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the reference was checked")
+
+    monkeypatch.setattr(spadeclip.pipeline, "solve_batch", no_solve)
+    x = sparse_signal(512)
+    y = np.clip(x, -0.4, 0.4)
+    x[np.abs(x) >= 0.4] = 0  # not all-zero, but no SDR on the clipped samples is defined
+    clipped = np.count_nonzero(np.abs(y) >= 0.4)
+    with pytest.raises(ValueError, match=f"reference is zero on all {clipped} clipped samples"):
         declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=x)
 
 

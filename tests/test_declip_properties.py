@@ -85,14 +85,11 @@ def test_declip_signal_invariants(case):
     for m, stats in enumerate(report.per_frame):
         clipped = not model.mask_r[m * hop : m * hop + frame_len].all()
         if not clipped:
-            assert stats == FrameStats(0, 0.0, 0, True)
+            assert stats == FrameStats(0, 0.0, True)
         elif stats.converged:
             assert 1 <= stats.iterations <= capped_iterations
         else:
             assert stats.iterations == capped_iterations
-        # the last iterate's k: a converged frame did not advance it, and a
-        # clip-free frame, passed through with 0 iterations, reports k = 0
-        assert stats.final_k == s + s * ((stats.iterations - stats.converged) // r)
 
 
 epsilons = st.sampled_from([0.1, 0.01, 0.0])

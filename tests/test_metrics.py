@@ -50,7 +50,7 @@ def test_report_table_and_mean_iterations():
         sdr_clipped_input=5.0,
         sdr_restored=np.inf,
         sdr_on_clipped_samples=12.25,
-        per_frame=[FrameStats(10, 0.01, 5, True), FrameStats(20, 0.02, 7, True)],
+        per_frame=[FrameStats(10, 0.01, True), FrameStats(20, 0.02, True)],
         runtime=0.5,
     )
     assert report.mean_iterations == 15.0

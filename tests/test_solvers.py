@@ -234,13 +234,11 @@ def _solve_by_steps(model, op, params):
     """One frame: public steps until the stop rule of `solve_batch` fires."""
     state = init_state(model, op, params)
     while True:
-        k = params.sparsity(state.i)
-        step(state, model, op, params)
-        if state.residual <= params.epsilon:
-            return state.x_hat, FrameStats(state.i, state.residual, k, True)
-        next_k = params.sparsity(state.i)
-        if next_k > op.coeff_len:
-            return state.x_hat, FrameStats(state.i, state.residual, next_k, False)
+        residual = step(state, model, op, params)
+        if residual <= params.epsilon:
+            return state.x_hat, FrameStats(state.i, residual, True)
+        if params.sparsity(state.i) > op.coeff_len:
+            return state.x_hat, FrameStats(state.i, residual, False)
 
 
 def _retiring_batch():
@@ -267,7 +265,7 @@ def test_solve_batch_equals_a_loop_of_public_steps(variant, redundancy):
         x_ref, stats_ref = _solve_by_steps(model, op, params)
         assert x[m].tobytes() == x_ref.tobytes()
         assert stats[m] == stats_ref
-    assert stats[-1] == FrameStats(0, 0.0, 0, True)
+    assert stats[-1] == FrameStats(0, 0.0, True)
     assert x[-1].tobytes() == models[-1].y.tobytes()
     # frames retire at different iterations, so the batch shrinks several times
     assert len({f.iterations for f in stats[:-1]}) >= 3
@@ -325,7 +323,7 @@ def test_solve_batch_transforms_nothing_without_a_clipped_sample():
     for variant in Variant:
         x, stats = solve_batch(model, no_frame, SolverParams(variant=variant))
         np.testing.assert_array_equal(x, y)
-        assert stats == [FrameStats(0, 0.0, 0, True)] * 3
+        assert stats == [FrameStats(0, 0.0, True)] * 3
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -339,10 +337,12 @@ def test_run_solver_capped_returns_last_iterate(variant):
     (x,), (stats,) = solve_batch(model.select(np.newaxis), op, params)
     state = init_state(model, op, params)
     while params.sparsity(state.i) <= op.coeff_len:
-        step(state, model, op, params)
+        residual = step(state, model, op, params)
     assert not stats.converged
-    assert (stats.iterations, stats.final_k) == (state.i, params.sparsity(state.i))
-    assert stats.final_residual == state.residual
+    assert stats.iterations == state.i
+    # the k it stopped at is the first past the cap
+    assert params.sparsity(stats.iterations - stats.converged) == op.coeff_len + 1
+    assert stats.final_residual == residual
     np.testing.assert_array_equal(x, state.x_hat)
 
 

@@ -65,6 +65,13 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "reference zero on every clipped sample accepted",
+        "spadeclip/pipeline.py",
+        "if reference is not None and clipped.any() and not ref[clipped].any():",
+        "if False:",
+        ("tests/test_cli.py::test_declip_signal_rejects_a_reference_zero_on_every_clipped_sample",),
+    ),
+    Mutant(
         "even P: Nyquist weighted sqrt(2/P)",
         "spadeclip/frames.py",
         "if p % 2 == 0:",
@@ -132,6 +139,13 @@ MUTANTS = [
         "exp = max(exp, -1023)",
         "exp = max(exp, -1024)",
         ("tests/test_metrics.py::test_sdr_known_values",),
+    ),
+    Mutant(
+        "33-bit PCM accepted",
+        "spadeclip/wavio.py",
+        "_BITS = {PCM: range(1, 33)",
+        "_BITS = {PCM: range(1, 34)",
+        ("tests/test_cli.py::test_read_wav_names_what_it_rejects[pcm33]",),
     ),
     Mutant(
         "PCM bytes placed low in the int32",
