@@ -1,7 +1,8 @@
 """Command-line interface: clip simulation, declipping, benchmarks, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments
-(argparse), 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (an
+argparse usage error, or a ValueError from a command: a bad WAV file or
+setting), 3 I/O error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .wavio import read_wav, write_wav
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
+EXIT_INVALID = 2
 EXIT_IO = 3
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -209,7 +211,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO if isinstance(exc, OSError) else 2
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_INVALID
     except KeyboardInterrupt:
         return 130
 

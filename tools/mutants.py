@@ -4,8 +4,9 @@ Each entry names a file under `src/`, an exact text that occurs once in it,
 the text that replaces it, and the pytest IDs (relative to the repository
 root) that must fail once it is applied. `tools/run_mutants.py` applies
 the entries one at a time to a copy of the tree; `tests/test_mutants.py`
-checks that every old text still occurs exactly once, so a change that
-rewrites a mutated line restates its mutant here.
+checks that every old text still occurs exactly once and that pytest
+collects every test ID, so a change that rewrites a mutated line or
+renames a test restates its mutant here.
 """
 
 from __future__ import annotations
@@ -115,6 +116,30 @@ MUTANTS = [
         "return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED",
         "return EXIT_OK",
         ("tests/test_cli.py::test_verify_exits_1_on_a_check_over_its_tolerance",),
+    ),
+    Mutant(
+        "declip keeps its WAV when the CSV cannot be written",
+        "spadeclip/cli.py",
+        "os.remove(args.output)",
+        "None",
+        ("tests/test_cli.py::test_declip_that_cannot_write_leaves_neither_file[--csv]",),
+    ),
+    Mutant(
+        "an I/O error exits as invalid input",
+        "spadeclip/cli.py",
+        "return EXIT_IO if isinstance(exc, OSError) else EXIT_INVALID",
+        "return EXIT_INVALID",
+        (
+            "tests/test_cli.py::test_declip_missing_input",
+            "tests/test_cli.py::test_declip_that_cannot_write_leaves_neither_file[--output]",
+        ),
+    ),
+    Mutant(
+        "the error line goes to stdout",
+        "spadeclip/cli.py",
+        'print(f"error: {exc}", file=sys.stderr)',
+        'print(f"error: {exc}")',
+        ("tests/test_cli.py::test_declip_missing_input",),
     ),
     Mutant(
         "threshold tie keeps one entry too few",
