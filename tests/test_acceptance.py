@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from contracts import assert_in_box
 from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
@@ -148,10 +149,7 @@ def test_criterion_8_feasibility_and_passthrough(variant):
     y = hard_clip(x, theta)
     params = SolverParams(s=1, r=1, epsilon=0.1, variant=variant)
     restored, _ = declip_signal(y, theta, params, frame_len=512, hop=128, redundancy=2)
-    model = detect_masks(y, theta)
-    np.testing.assert_array_equal(restored[model.mask_r], y[model.mask_r])
-    assert np.all(restored[model.mask_h] >= theta)
-    assert np.all(restored[model.mask_l] <= -theta)
+    assert_in_box(restored, detect_masks(y, theta))
     announce(f"8 feasibility and passthrough [{variant.value}]")
 
 

@@ -25,7 +25,9 @@ and convergence exactly (a report holds no k: the k a frame stopped at,
 `params.sparsity(iterations - converged)`, is compared with the file's
 `final_k`), and the output must stay within 1e-12 of the
 pinned one. Frames without a clipped sample are not iterated: they must
-report 0 iterations and leave the observation unchanged, bit for bit.
+report 0 iterations. The output keeps the consistency contract of
+`tests/contracts.py`, so reliable samples, those of clip-free frames
+among them, are the observation's bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadeclip import SolverParams, Variant, declip_signal, make_frame, pipeline
+from contracts import assert_in_box
+from spadeclip import SolverParams, Variant, declip_signal, detect_masks, make_frame, pipeline
 from spadeclip.verification import DenseFrameOperator
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed.npz"
@@ -136,9 +139,7 @@ def _assert_matches_golden(golden, variant, redundancy, r):
 
     assert np.all(iterations[~flags] == 0)
     assert np.all(converged[~flags])
-    for m in np.flatnonzero(~flags):
-        span = slice(m * HOP, min(m * HOP + FRAME_LEN, len(y)))
-        np.testing.assert_array_equal(restored[span], y[span])
+    assert_in_box(restored, detect_masks(y, THETA))
 
 
 @pytest.mark.parametrize("variant,redundancy,r", CONFIGS)

@@ -31,6 +31,16 @@ MUTANTS = [
         ("tests/test_feasible.py::test_project_gamma_equals_three_mask_formula_bitwise",),
     ),
     Mutant(
+        "clamp operands swapped: a reliable -0.0 comes back +0.0",
+        "spadeclip/feasible.py",
+        "out = np.maximum(v, model.lo, out=out)\n    return np.minimum(out, model.hi, out=out)",
+        "out = np.maximum(model.lo, v, out=out)\n    return np.minimum(model.hi, out, out=out)",
+        (
+            "tests/test_feasible.py::test_project_gamma_equals_three_mask_formula_bitwise",
+            "tests/test_declip_properties.py::test_declip_signal_invariants",
+        ),
+    ),
+    Mutant(
         "frame hi taken from lo",
         "spadeclip/segmentation.py",
         "hi=_frames_of(model.hi, plan, np.inf)",
@@ -140,6 +150,36 @@ MUTANTS = [
         'print(f"error: {exc}", file=sys.stderr)',
         'print(f"error: {exc}")',
         ("tests/test_cli.py::test_declip_missing_input",),
+    ),
+    Mutant(
+        "A-SPADE takes S-SPADE's w update",
+        "spadeclip/solvers.py",
+        "if aspade:",
+        "if False:",
+        (
+            "tests/test_solvers.py::test_first_step_matches_dense_matrix_reference[Variant.ASPADE]",
+            "tests/test_golden.py::test_matches_golden[aspade-2-1]",
+        ),
+    ),
+    Mutant(
+        "S-SPADE-DR dual sign flipped",
+        "spadeclip/solvers.py",
+        "u += dz\n    u -= x",
+        "u -= dz\n    u += x",
+        (
+            "tests/test_acceptance.py::test_criterion_5_unitary_equivalence",
+            "tests/test_golden.py::test_matches_golden[sspade-dr-2-1]",
+        ),
+    ),
+    Mutant(
+        "k advanced one iteration early",
+        "spadeclip/solvers.py",
+        "k = params.sparsity(state.i)",
+        "k = params.sparsity(state.i + 1)",
+        (
+            "tests/test_solvers.py::test_zbar_sparsity_bound_every_variant",
+            "tests/test_golden.py::test_matches_golden[aspade-1-1]",
+        ),
     ),
     Mutant(
         "threshold tie keeps one entry too few",
