@@ -16,7 +16,7 @@ import numpy as np
 
 from .feasible import DEFAULT_DELTA_DETECT, auto_theta, hard_clip
 from .pipeline import DEFAULT_FRAME_LEN, DEFAULT_HOP, DEFAULT_REDUNDANCY, declip_signal
-from .solvers import SolverParams, Variant
+from .solvers import SCHEDULES, SolverParams, Variant
 from .wavio import read_wav, write_wav
 
 EXIT_OK = 0
@@ -24,11 +24,19 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
 
+def _per_variant(i: int) -> str:
+    """Item i of each variant's `SCHEDULES` entry, for help text."""
+    return ", ".join(f"{v.value} {entry[i]}" for v, entry in SCHEDULES.items())
+
+
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     p.add_argument("--hop", type=int, default=DEFAULT_HOP)
-    p.add_argument("--s", type=int, default=SolverParams.s, help="sparsity step")
-    p.add_argument("--r", type=int, default=SolverParams.r, help="iterations between sparsity increments")
+    # left at None, SolverParams takes the variant's entry of SCHEDULES
+    p.add_argument("--s", type=int, help=f"sparsity step (default: {_per_variant(0)})")
+    p.add_argument(
+        "--r", type=int, help=f"iterations between sparsity increments (default: {_per_variant(1)})"
+    )
     p.add_argument("--epsilon", type=float, default=SolverParams.epsilon, help="termination residual")
     p.add_argument("--delta-detect", type=float, default=DEFAULT_DELTA_DETECT)
 

@@ -78,7 +78,7 @@ class DeclipReport:
     sdr_on_clipped_samples: float
     per_frame: list[FrameStats]
     runtime: float
-    num_clipped: int = 0
+    num_clipped: int
 
     @property
     def mean_iterations(self) -> float:

@@ -56,6 +56,7 @@ from .metrics import FrameStats
 
 __all__ = [
     "Variant",
+    "SCHEDULES",
     "SolverParams",
     "SolverState",
     "hard_threshold",
@@ -71,6 +72,16 @@ class Variant(Enum):
     SSPADE_DR = "sspade-dr"
 
 
+# Each variant's default sparsity schedule (s, r), chosen on paired ΔSDR and
+# CPU time (`tools/schedule_sweep.py`, README "Sparsity schedule"). The
+# paper evaluates s = r = 1.
+SCHEDULES = {
+    Variant.ASPADE: (4, 1),
+    Variant.SSPADE_ORIG: (1, 1),
+    Variant.SSPADE_DR: (1, 1),
+}
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Sparsity schedule and termination settings.
@@ -82,18 +93,26 @@ class SolverParams:
     count one each. `epsilon` bounds an absolute residual, at the scale of
     the samples solved: the input's own level, not a level normalized to
     peak 1. A quiet input meets it sooner, at once if quiet enough.
+
+    An `s` or `r` left at None takes the variant's entry of `SCHEDULES`:
+    (4, 1) for A-SPADE, the paper's (1, 1) for S-SPADE and S-SPADE-DR.
+    The resolved values are stored, so `dataclasses.replace(params,
+    variant=v)` keeps params' s and r.
     """
 
-    s: int = 1
-    r: int = 1
+    s: int | None = None
+    r: int | None = None
     epsilon: float = 0.1
     variant: Variant = Variant.ASPADE
 
     def __post_init__(self):
-        require_integers(s=self.s, r=self.r)  # k and the schedule count in whole steps
         # the iteration is chosen by identity: a variant's string would match no member
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
+        for name, default in zip(("s", "r"), SCHEDULES[self.variant]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        require_integers(s=self.s, r=self.r)  # k and the schedule count in whole steps
         # `not x >= bound` also rejects NaN
         if not self.s >= 1:
             raise ValueError(f"s must be >= 1, got {self.s}")

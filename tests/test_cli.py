@@ -317,9 +317,15 @@ def pcm_file(fmt: bytes, data: bytes = bytes(4), *extra: tuple[bytes, bytes]) ->
         # inside a whole RIFF chunk: a data chunk of 4 bytes that declares 8, a bare chunk size
         (pcm_file(pcm_fmt()).replace(b"data\x04", b"data\x08"), "4 of 8 bytes"),
         (riff((b"fmt ", pcm_fmt()), (b"data", bytes(4)), (b"", b"")), "chunk header cut short"),
+        # every chunk whole, but the RIFF chunk declares 2 bytes more than the file holds
+        (
+            b"RIFF" + struct.pack("<I", 42) + pcm_file(pcm_fmt())[8:],
+            "RIFF chunk cut short: 40 of 42 bytes",
+        ),
     ],
     ids=["rf64", "avi", "no-fmt", "no-data", "a-law", "mu-law", "float24", "adpcm", "pcm33",
-         "extensible-unknown", "fmt-short", "partial-frame", "data-cut", "header-cut"],
+         "extensible-unknown", "fmt-short", "partial-frame", "data-cut", "header-cut",
+         "riff-cut"],
 )  # fmt: skip
 def test_read_wav_names_what_it_rejects(tmp_path, blob, message):
     src = tmp_path / "bad.wav"
@@ -415,6 +421,14 @@ def test_bench_defaults_run_every_variant_at_the_default_redundancy(clean_wav):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert [row["variant"] for row in rows] == [v.value for v in Variant]
     assert [row["redundancy"] for row in rows] == ["2.0"] * len(Variant)
+    # each variant runs its own schedule, the one SolverParams gives it
+    x = read_wav(str(clean_wav))[1]
+    theta = 0.5 * np.max(np.abs(x))
+    for row, variant in zip(rows, Variant):
+        _, report = declip_signal(
+            hard_clip(x, theta), theta, SolverParams(variant=variant), frame_len=256, hop=64
+        )
+        assert row["mean_iters"] == f"{report.mean_iterations:.2f}"
 
 
 def test_bench_csv_schema_and_rows(clean_wav, tmp_path):
@@ -1044,6 +1058,24 @@ def test_clip_wav_keeps_the_invariants(case):
     else:  # theta is no float32 value: a clipped sample steps one float32 step outward
         assert np.all(np.abs(y[clipped]) >= theta)
         assert np.all(np.abs(y[clipped]) - theta <= np.spacing(np.float32(theta)))
+
+
+@pytest.mark.parametrize("schedule", [(), ("--s", 1, "--r", 1)], ids=["default", "paper"])
+@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+def test_declip_runs_the_variants_schedule_unless_given_one(tmp_path, variant, schedule):
+    # without --s/--r the variant's own schedule; --s 1 --r 1 is the paper's setting
+    theta = 0.5
+    y = np.clip(sparse_signal(2000, amp=1.2), -theta, theta)
+    src, out = tmp_path / "in.wav", tmp_path / "out.wav"
+    wavfile.write(src, RATE, y)
+    code, _ = run_cli(
+        "declip", "--input", src, "--output", out, "--variant", variant.value, "--theta", theta,
+        "--frame-len", 256, "--hop", 64, *schedule,
+    )  # fmt: skip
+    assert code == 0
+    params = SolverParams(s=1, r=1, variant=variant) if schedule else SolverParams(variant=variant)
+    expected, _ = declip_signal(y, theta, params, frame_len=256, hop=64)
+    assert wavfile.read(out)[1].tobytes() == expected.tobytes()
 
 
 def test_clip_then_declip_of_a_float64_file_is_the_in_memory_declip(tmp_path):

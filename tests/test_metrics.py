@@ -52,6 +52,7 @@ def test_report_table_and_mean_iterations():
         sdr_on_clipped_samples=12.25,
         per_frame=[FrameStats(10, 0.01, True), FrameStats(20, 0.02, True)],
         runtime=0.5,
+        num_clipped=7,
     )
     assert report.mean_iterations == 15.0
     table = report.as_table()
@@ -70,6 +71,7 @@ def test_report_of_no_frames_has_mean_iterations_zero():
         sdr_on_clipped_samples=np.inf,
         per_frame=[],
         runtime=0.0,
+        num_clipped=0,
     )
     assert report.mean_iterations == 0.0
     assert "mean iterations      : 0.0\n" in report.as_table()

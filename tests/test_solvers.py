@@ -383,6 +383,26 @@ def test_solver_params_rejects_a_variant_that_is_no_member(variant):
         SolverParams(variant=variant)
 
 
+def test_solver_params_takes_each_variants_schedule():
+    # the per-variant defaults README states; the paper's s = r = 1 stays a pass-in away
+    defaults = {v: (SolverParams(variant=v).s, SolverParams(variant=v).r) for v in Variant}
+    assert defaults == {
+        Variant.ASPADE: (4, 1),
+        Variant.SSPADE_ORIG: (1, 1),
+        Variant.SSPADE_DR: (1, 1),
+    }
+    assert SolverParams().s == 4  # A-SPADE is the default variant
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solver_params_explicit_schedule_overrides_the_table(variant):
+    default = SolverParams(variant=variant)
+    s, r = default.s, default.r
+    for kwargs, expected in [({"s": 1, "r": 1}, (1, 1)), ({"s": 3}, (3, r)), ({"r": 5}, (s, 5))]:
+        params = SolverParams(variant=variant, **kwargs)
+        assert (params.s, params.r) == expected
+
+
 def test_solver_params_accepts_numpy_integers():
     params = SolverParams(s=np.int64(2), r=np.int32(3))
     assert (params.s, params.r) == (2, 3)

@@ -192,6 +192,13 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "A-SPADE loses its schedule",
+        "spadeclip/solvers.py",
+        "Variant.ASPADE: (4, 1),",
+        "Variant.ASPADE: (1, 1),",
+        ("tests/test_solvers.py::test_solver_params_takes_each_variants_schedule",),
+    ),
+    Mutant(
         "auto theta at a peak equal to delta",
         "spadeclip/feasible.py",
         "return peak if peak > delta_detect else np.inf",
