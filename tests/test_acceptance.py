@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from contracts import assert_in_box
+from inputs import three_partials
 from spadeclip.feasible import detect_masks, hard_clip
 from spadeclip.frames import make_frame
 from spadeclip.metrics import sdr
@@ -112,12 +113,7 @@ def test_criterion_6_synthesis_approximation_bound():
 
 
 def _sparse_long_signal(n_total=8192):
-    t = np.arange(n_total)
-    x = (
-        np.sin(2 * np.pi * 32 * t / n_total + 0.3)
-        + 0.6 * np.sin(2 * np.pi * 88 * t / n_total + 1.1)
-        + 0.35 * np.sin(2 * np.pi * 184 * t / n_total + 2.0)
-    )
+    x = three_partials(n_total, n_total / 8, (0.3, 1.1, 2.0))
     return x / np.max(np.abs(x))
 
 

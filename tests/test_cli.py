@@ -4,11 +4,9 @@ import io
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 import tempfile
-import wave
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,31 +18,21 @@ from scipy.io import wavfile
 
 import spadeclip
 from contracts import assert_in_box
+from inputs import (
+    RATE, WAV_FORMATS, on_format_grid, pcm_fmt, riff, sparse_signal, whole_wav, write_in_format,
+    write_pcm,
+)  # fmt: skip
 from spadeclip.cli import main
-from spadeclip.feasible import DEFAULT_DELTA_DETECT, detect_masks, hard_clip, project_gamma
-from spadeclip.frames import make_frame
-from spadeclip.metrics import sdr
+from spadeclip.feasible import DEFAULT_DELTA_DETECT, detect_masks, hard_clip
 from spadeclip.pipeline import declip_signal
-from spadeclip.segmentation import SegmentationPlan, overlap_add, restrict_frames
-from spadeclip.solvers import SolverParams, Variant, solve_batch
+from spadeclip.solvers import SolverParams, Variant
 from spadeclip.verification import CheckReport
 from spadeclip.wavio import read_wav, write_wav
 
-RATE = 8000
 # the CSV schema README documents, for `declip --csv` and `bench`
 CSV_HEADER = (
     "variant,theta,redundancy,sdr_in_db,sdr_out_db,sdr_clipped_db,mean_iters,runtime_s"
 ).split(",")
-
-
-def sparse_signal(n=2048, amp=1.0):
-    t = np.arange(n)
-    x = (
-        np.sin(2 * np.pi * 16 * t / n + 0.2)
-        + 0.6 * np.sin(2 * np.pi * 44 * t / n + 1.0)
-        + 0.35 * np.sin(2 * np.pi * 92 * t / n + 2.1)
-    )
-    return amp * x / np.max(np.abs(x))
 
 
 @pytest.fixture
@@ -73,22 +61,6 @@ def assert_refused(workdir, code, pattern, *args):
         assert run_cli(*args) == (code, "")
     assert re.fullmatch(f"error: {pattern}\n", err.getvalue()), err.getvalue()
     assert sorted(workdir.rglob("*")) == before
-
-
-@pytest.fixture
-def refused(monkeypatch):
-    """`refused(pattern, y, theta, **kwargs)`: declip_signal(y, theta, SolverParams(),
-    **kwargs) raises a ValueError matching pattern before it solves any frame."""
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a frame was solved before the input was refused")
-
-    def check(pattern, y, theta, **kwargs):
-        with pytest.raises(ValueError, match=pattern):
-            declip_signal(y, theta, SolverParams(), **kwargs)
-
-    monkeypatch.setattr(spadeclip.pipeline, "solve_batch", no_solve)
-    return check
 
 
 def test_clip_no_op_above_peak(clean_wav, tmp_path):
@@ -165,16 +137,6 @@ def test_clip_and_bench_reject_nan_wav(tmp_path, command):
     )
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_read_wav_rejects_non_finite(tmp_path, bad):
-    y = np.zeros((64, 2), dtype=np.float32)
-    y[10, 1] = bad
-    src = tmp_path / "bad.wav"
-    wavfile.write(src, RATE, y)
-    with pytest.raises(ValueError, match="1 non-finite"):
-        read_wav(str(src))
-
-
 @pytest.mark.parametrize(
     "command,args",
     [
@@ -186,40 +148,11 @@ def test_read_wav_rejects_non_finite(tmp_path, bad):
 )
 def test_cli_rejects_empty_wav(tmp_path, command, args):
     src = tmp_path / "empty.wav"
-    with wave.open(str(src), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(RATE)
-        fh.writeframes(b"")
+    write_pcm(src, 16, np.zeros((0, 1)))
     assert_refused(
         tmp_path, 2, re.escape(f"{src}: no samples"),
         command, "--input", src, "--output", tmp_path / "out", *args,
     )
-
-
-def test_read_wav_rejects_empty_float_file(tmp_path):
-    src = tmp_path / "empty.wav"
-    wavfile.write(src, RATE, np.zeros((0, 2), dtype=np.float32))
-    with pytest.raises(ValueError, match="no samples"):
-        read_wav(str(src))
-
-
-def _whole_wav(path, dtype) -> bytes:
-    """The bytes of a 4000-sample mono file in the given sample type."""
-    x = sparse_signal(4000, amp=0.8)
-    wavfile.write(path, RATE, (x * 32767).astype(dtype) if dtype is np.int16 else x.astype(dtype))
-    return path.read_bytes()
-
-
-@pytest.mark.parametrize("dtype", [np.int16, np.float32], ids=["pcm16", "float32"])
-def test_read_wav_rejects_every_truncation(tmp_path, dtype):
-    blob = _whole_wav(tmp_path / "whole.wav", dtype)
-    cut = tmp_path / "cut.wav"
-    # every cut inside the header, then an odd stride: cuts fall at every byte of a sample
-    for size in [*range(64), *range(64, len(blob), 97), len(blob) - 1]:
-        cut.write_bytes(blob[:size])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: "):
-            read_wav(str(cut))
 
 
 @pytest.mark.parametrize("size", [30, 1001])
@@ -231,43 +164,9 @@ def test_read_wav_rejects_every_truncation(tmp_path, dtype):
 def test_cli_rejects_a_truncated_wav(tmp_path, monkeypatch, command, args, size):
     monkeypatch.chdir(tmp_path)
     src = tmp_path / "cut.wav"
-    src.write_bytes(_whole_wav(tmp_path / "whole.wav", np.int16)[:size])
+    src.write_bytes(whole_wav(tmp_path / "whole.wav", np.int16)[:size])
     message = f"{re.escape(str(src))}: cannot read as WAV: .*"
     assert_refused(tmp_path, 2, message, command, "--input", src, "--output", "out", *args)
-
-
-def test_read_wav_skips_unknown_chunks(tmp_path):
-    # an odd-sized unknown chunk before the data is skipped with its pad byte, not refused
-    chunks = wav_chunks(_whole_wav(tmp_path / "whole.wav", np.int16))
-    src = tmp_path / "junk.wav"
-    src.write_bytes(pcm_file(chunks[b"fmt "], chunks[b"data"], (b"junk", b"\1" * 3)))
-    _, loaded = read_wav(str(src))
-    assert loaded.tobytes() == read_wav(str(tmp_path / "whole.wav"))[1].tobytes()
-
-
-def riff(*chunks: tuple[bytes, bytes], big: bool = False) -> bytes:
-    """A RIFF WAVE file (RIFX if big) of (id, payload) chunks, each padded to an even size."""
-    e = ">" if big else "<"
-    body = b"WAVE" + b"".join(
-        cid + struct.pack(e + "I", len(payload)) + payload + b"\0" * (len(payload) % 2)
-        for cid, payload in chunks
-    )
-    return (b"RIFX" if big else b"RIFF") + struct.pack(e + "I", len(body)) + body
-
-
-def wav_chunks(blob: bytes) -> dict[bytes, bytes]:
-    """The chunk payloads, by id, of a well-formed little-endian WAV file."""
-    chunks, pos = {}, 12
-    while pos < len(blob):
-        size = int.from_bytes(blob[pos + 4 : pos + 8], "little")
-        chunks[blob[pos : pos + 4]] = blob[pos + 8 : pos + 8 + size]
-        pos += 8 + size + size % 2
-    return chunks
-
-
-def pcm_fmt(channels=1, block_align=2, bits=16, tag=1, e="<") -> bytes:
-    """A 16-byte `fmt ` payload whose byte rate agrees with its block_align."""
-    return struct.pack(e + "HHIIHH", tag, channels, RATE, RATE * block_align, block_align, bits)
 
 
 @pytest.mark.parametrize(
@@ -284,55 +183,6 @@ def test_declip_rejects_a_malformed_pcm_header(tmp_path, channels, block_align, 
     src.write_bytes(riff((b"fmt ", pcm_fmt(channels, block_align)), (b"data", bytes(12))))
     message = re.escape(f"{src}: cannot read as WAV: {reason}")
     assert_refused(tmp_path, 2, message, "declip", "--input", src, "--output", tmp_path / "o.wav")
-
-
-SUBFORMAT_TAIL = bytes.fromhex("800000aa00389b71")  # a KSDATAFORMAT_SUBTYPE GUID's last 8 bytes
-
-
-def pcm_file(fmt: bytes, data: bytes = bytes(4), *extra: tuple[bytes, bytes]) -> bytes:
-    """A WAV file of the given `fmt ` and `data` payloads, the chunks of extra between them."""
-    return riff((b"fmt ", fmt), *extra, (b"data", data))
-
-
-@pytest.mark.parametrize(
-    "blob,message",
-    [
-        (b"RF64" + bytes(4) + b"WAVE", "RF64"),
-        (b"RIFF" + struct.pack("<I", 4) + b"AVI ", "not a RIFF/WAVE file"),
-        (riff((b"data", bytes(4))), "no 'fmt ' chunk of 16 bytes"),
-        (riff((b"fmt ", pcm_fmt())), "no 'data' chunk"),
-        (pcm_file(pcm_fmt(block_align=1, bits=8, tag=6)), "A-law"),
-        (pcm_file(pcm_fmt(block_align=1, bits=8, tag=7)), "μ-law"),
-        (pcm_file(pcm_fmt(block_align=3, bits=24, tag=3), bytes(6)), "24-bit float"),
-        (pcm_file(pcm_fmt(tag=2)), "format 0x0002"),
-        # a 5-byte container, two whole samples of it
-        (pcm_file(pcm_fmt(block_align=5, bits=33), bytes(10)), "33-bit PCM"),
-        (
-            # a GUID whose tail is not KSDATAFORMAT_SUBTYPE's
-            pcm_file(pcm_fmt(tag=0xFFFE) + struct.pack("<HHIIHH", 22, 16, 0, 1, 0, 16) + bytes(8)),
-            "unknown subformat",
-        ),
-        (pcm_file(pcm_fmt()[:14]), "no 'fmt ' chunk of 16 bytes"),
-        (pcm_file(pcm_fmt(channels=2, block_align=4), bytes(6)), "inside a frame"),
-        # inside a whole RIFF chunk: a data chunk of 4 bytes that declares 8, a bare chunk size
-        (pcm_file(pcm_fmt()).replace(b"data\x04", b"data\x08"), "4 of 8 bytes"),
-        (riff((b"fmt ", pcm_fmt()), (b"data", bytes(4)), (b"", b"")), "chunk header cut short"),
-        # every chunk whole, but the RIFF chunk declares 2 bytes more than the file holds
-        (
-            b"RIFF" + struct.pack("<I", 42) + pcm_file(pcm_fmt())[8:],
-            "RIFF chunk cut short: 40 of 42 bytes",
-        ),
-    ],
-    ids=["rf64", "avi", "no-fmt", "no-data", "a-law", "mu-law", "float24", "adpcm", "pcm33",
-         "extensible-unknown", "fmt-short", "partial-frame", "data-cut", "header-cut",
-         "riff-cut"],
-)  # fmt: skip
-def test_read_wav_names_what_it_rejects(tmp_path, blob, message):
-    src = tmp_path / "bad.wav"
-    src.write_bytes(blob)
-    prefix = f"^{re.escape(str(src))}: cannot read as WAV: "
-    with pytest.raises(ValueError, match=f"{prefix}.*{message}"):
-        read_wav(str(src))
 
 
 @pytest.mark.parametrize("command", ["clip", "declip"])
@@ -525,34 +375,6 @@ def test_options_take_their_full_names_only(clean_wav, tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == [clean_wav]
 
 
-# left and right channels on the grid every PCM width represents exactly
-GRID = np.array([[-1.0, 0.25], [-0.5, 0.0], [0.0, -0.5], [0.25, -1.0]])
-
-
-def write_pcm(path, bits: int, samples: np.ndarray) -> None:
-    """Write (n, channels) samples in [-1, 1) as integer PCM with the stdlib."""
-    ints = np.round(samples * 2 ** (bits - 1)).astype(np.int64)
-    if bits == 8:
-        raw = (ints + 128).astype(np.uint8).tobytes()  # 8-bit PCM is unsigned
-    else:
-        raw = b"".join(int(v).to_bytes(bits // 8, "little", signed=True) for v in ints.ravel())
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(samples.shape[1])
-        fh.setsampwidth(bits // 8)
-        fh.setframerate(RATE)
-        fh.writeframes(raw)
-
-
-@pytest.mark.parametrize("bits", [8, 16, 24, 32])
-def test_pcm_widths_decode_to_the_grid(tmp_path, bits):
-    path = tmp_path / f"pcm{bits}.wav"
-    write_pcm(path, bits, GRID)
-    rate, loaded = read_wav(str(path))
-    assert rate == RATE
-    assert loaded.dtype == np.float64
-    np.testing.assert_array_equal(loaded, GRID)
-
-
 def test_unsupported_sample_type_is_named(tmp_path):
     src = tmp_path / "pcm64.wav"
     wavfile.write(src, RATE, np.zeros(64, dtype=np.int64))
@@ -729,137 +551,6 @@ def test_every_export_resolves(module):
     assert [name for name in mod.__all__ if getattr(mod, name, None) is None] == []
 
 
-def test_declip_signal_sdr_fields_against_reference():
-    x = sparse_signal(1024)
-    y = np.clip(x, -0.4, 0.4)
-    restored, report = declip_signal(y, 0.4, SolverParams(), frame_len=256, hop=64, reference=x)
-    clipped = ~detect_masks(y, 0.4).mask_r
-    assert report.sdr_on_clipped_samples == sdr(x[clipped], restored[clipped])
-    assert np.isfinite(report.sdr_on_clipped_samples)
-    assert report.sdr_restored == sdr(x, restored)
-    assert report.sdr_clipped_input == sdr(x, y)
-    # a silent y matches a silent reference exactly: every SDR is inf
-    _, silent = declip_signal(
-        np.zeros(512), 0.4, SolverParams(), frame_len=256, hop=64, reference=np.zeros(512)
-    )
-    assert silent.sdr_clipped_input == silent.sdr_restored == np.inf
-    assert silent.sdr_on_clipped_samples == np.inf
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_declip_signal_rejects_non_finite(refused, bad):
-    y = np.clip(sparse_signal(512), -0.4, 0.4)
-    y[100] = bad
-    refused("signal holds non-finite", y, 0.4, frame_len=256, hop=64)
-
-
-def test_declip_signal_rejects_empty_signal(refused):
-    refused("empty", np.zeros(0), 0.4)
-
-
-def test_declip_signal_on_silence_returns_silence():
-    restored, report = declip_signal(np.zeros(2000), 0.5, SolverParams())
-    assert_in_box(restored, detect_masks(np.zeros(2000), 0.5))
-    assert report.num_clipped == 0
-    assert all(f.iterations == 0 for f in report.per_frame)
-    for value in (
-        report.sdr_clipped_input, report.sdr_restored, report.sdr_on_clipped_samples
-    ):
-        assert value == np.inf
-
-
-def test_declip_signal_rejects_nan_theta(refused):
-    y = np.clip(sparse_signal(512), -0.4, 0.4)
-    refused("theta", y, float("nan"), frame_len=256, hop=64)
-
-
-def test_declip_signal_rejects_a_multichannel_y(refused):
-    y = np.clip(np.stack([sparse_signal(50), sparse_signal(50)], axis=1), -0.4, 0.4)
-    refused(r"y must be one-dimensional, got shape \(50, 2\)", y, 0.4, frame_len=16, hop=8)
-
-
-def test_declip_signal_rejects_a_reference_of_another_shape(refused, monkeypatch):
-    def no_detection(*args, **kwargs):
-        raise AssertionError("detection ran before the reference was checked")
-
-    monkeypatch.setattr(spadeclip.pipeline, "detect_masks", no_detection)
-    x = sparse_signal(512)
-    y = np.clip(x, -0.4, 0.4)
-    refused(r"reference has shape \(511,\), y has shape \(512,\)", y, 0.4, reference=x[:-1])
-    # no SDR against a silent reference is defined unless y is silent too
-    refused("reference is all-zero but y is not", y, 0.4, reference=np.zeros(512))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_declip_signal_rejects_a_non_finite_reference(refused, bad):
-    # an SDR against it would be NaN, silently
-    x = sparse_signal(512)
-    y = np.clip(x, -0.4, 0.4)
-    x[7] = bad
-    refused("reference holds non-finite samples", y, 0.4, frame_len=256, hop=64, reference=x)
-
-
-def test_declip_signal_rejects_a_reference_zero_on_every_clipped_sample(refused):
-    x = sparse_signal(512)
-    y = np.clip(x, -0.4, 0.4)
-    x[np.abs(x) >= 0.4] = 0  # not all-zero, but no SDR on the clipped samples is defined
-    clipped = np.count_nonzero(np.abs(y) >= 0.4)
-    refused(f"reference is zero on all {clipped} clipped samples", y, 0.4, reference=x)
-
-
-def test_pipeline_batch_equals_frames_solved_alone():
-    # the batched solve gives each frame exactly what it gets solved alone, as a batch of one
-    x = sparse_signal(1024)
-    x[300:700] *= 0.3  # a quiet stretch: some frames hold no clipped sample
-    y = np.clip(x, -0.4, 0.4)
-    plan = SegmentationPlan(len(y), 256, 64)
-    op = make_frame(256, 2)
-    model = detect_masks(y, 0.4)
-    frames = restrict_frames(model, plan)
-    for variant in Variant:
-        params = SolverParams(variant=variant)
-        batched, report = declip_signal(y, 0.4, params, frame_len=256, hop=64)
-        alone = [solve_batch(frames.select([m]), op, params) for m in range(plan.num_frames)]
-        expected = project_gamma(overlap_add(np.array([out[0] for out, _ in alone]), plan), model)
-        np.testing.assert_array_equal(batched, expected)
-        assert report.per_frame == [stats[0] for _, stats in alone]
-        assert 0 < sum(f.iterations == 0 for f in report.per_frame) < plan.num_frames
-
-
-def _short_tones(count, frame_len, hop):
-    """Seeded three-partial tones of peak 1, each below one frame or off the hop grid."""
-    rng = np.random.default_rng(0)
-    tones = []
-    while len(tones) < count:
-        n = int(rng.integers(frame_len // 4, 2 * frame_len))
-        if n >= frame_len and (n - frame_len) % hop == 0:
-            continue  # on the hop grid: no frame reaches past the end
-        t = np.arange(n)
-        p = rng.uniform(0, 2 * np.pi, 3)
-        x = (
-            np.sin(2 * np.pi * 4 * t / frame_len + p[0])
-            + 0.6 * np.sin(2 * np.pi * 11 * t / frame_len + p[1])
-            + 0.35 * np.sin(2 * np.pi * 23 * t / frame_len + p[2])
-        )
-        tones.append(x / np.max(np.abs(x)))
-    return tones
-
-
-@pytest.mark.parametrize(
-    "variant,bar",
-    [(Variant.ASPADE, 20.0), (Variant.SSPADE_ORIG, 14.0), (Variant.SSPADE_DR, 16.0)],
-)
-def test_declip_signal_median_sdr_gain_over_short_tones(variant, bar):
-    # every tone's last frame reaches past its end; the SDR gain on one short
-    # signal is chaotic, so the bar is on the family's median
-    gains = []
-    for x in _short_tones(24, frame_len=256, hop=64):
-        y = hard_clip(x, 0.5)
-        restored, _ = declip_signal(y, 0.5, SolverParams(variant=variant), frame_len=256, hop=64)
-        gains.append(sdr(x, restored) - sdr(x, y))
-    assert np.median(gains) >= bar
-
-
 @pytest.mark.parametrize("theta", [0.7, 0.45])
 @pytest.mark.parametrize("variant", ["aspade", "sspade", "sspade-dr"])
 def test_declip_float32_output_keeps_clipped_samples_beyond_theta(tmp_path, variant, theta):
@@ -880,99 +571,6 @@ def test_declip_float32_output_keeps_clipped_samples_beyond_theta(tmp_path, vari
     assert_in_box(restored, model)
 
 
-# PCM bit depths; None for the float formats
-WAV_FORMATS = {"pcm8": 8, "pcm16": 16, "pcm24": 24, "pcm32": 32, "float32": None, "float64": None}
-
-
-def _on_format_grid(x, fmt):
-    """x rounded to the values a file of format fmt stores exactly."""
-    bits = WAV_FORMATS[fmt]
-    if bits is not None:
-        return np.round(x * 2 ** (bits - 1)) / 2 ** (bits - 1)
-    return x.astype(np.float32).astype(float) if fmt == "float32" else x
-
-
-def write_in_format(path, fmt: str, x: np.ndarray) -> None:
-    """Write (n, channels) samples on fmt's grid as a file of that format, without wavio."""
-    if WAV_FORMATS[fmt] is None:
-        wavfile.write(path, RATE, x.astype(fmt))
-    else:
-        write_pcm(path, WAV_FORMATS[fmt], x)  # 24-bit through the stdlib
-
-
-def scipy_decode(path) -> np.ndarray:
-    """The samples scipy reads from path, scaled as read_wav documents."""
-    _, data = wavfile.read(path)
-    if data.dtype == np.uint8:
-        return (data - 128.0) / 128.0
-    if data.dtype.kind == "i":  # scipy left-justifies 24-bit PCM in int32
-        return data / 2.0 ** (8 * data.dtype.itemsize - 1)
-    return data.astype(np.float64)
-
-
-def rewrap(blob: bytes, *, extensible=False, extra=(), big=False) -> bytes:
-    """The samples of blob, a plain little-endian WAV file, in another file:
-    a WAVE_FORMAT_EXTENSIBLE `fmt ` chunk if extensible, the (id, payload)
-    chunks of extra before the data, and RIFX byte order if big."""
-    chunks, e = wav_chunks(blob), ">" if big else "<"
-    tag, *fields = struct.unpack("<HHIIHH", chunks[b"fmt "][:16])
-    fmt = struct.pack(e + "HHIIHH", 0xFFFE if extensible else tag, *fields)
-    bits = fields[-1]
-    if extensible:  # cbSize, valid bits, channel mask, the GUID {tag-0000-0010-8000-00AA00389B71}
-        fmt += struct.pack(e + "HHIIHH", 22, bits, 0, tag, 0, 0x10) + SUBFORMAT_TAIL
-    data = chunks[b"data"]
-    if big:  # every sample's bytes reversed
-        data = np.frombuffer(data, np.uint8).reshape(-1, bits // 8)[:, ::-1].tobytes()
-    return riff((b"fmt ", fmt), *extra, (b"data", data), big=big)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    fmt=st.sampled_from(sorted(WAV_FORMATS)),
-    channels=st.integers(1, 3),
-    n=st.integers(1, 40),
-    seed=st.integers(0, 2**32 - 1),
-    extensible=st.booleans(),
-    junk=st.integers(0, 3),
-    big=st.booleans(),
-)
-def test_read_wav_decodes_as_scipy(fmt, channels, n, seed, extensible, junk, big):
-    x = _on_format_grid(np.random.default_rng(seed).uniform(-1, 0.99, (n, channels)), fmt)
-    with tempfile.TemporaryDirectory() as tmp:
-        plain, src = Path(tmp) / "plain.wav", Path(tmp) / "src.wav"
-        write_in_format(plain, fmt, x)
-        odd = (b"odd ", bytes(range(2 * junk + 1)))  # an unknown chunk followed by a pad byte
-        src.write_bytes(rewrap(plain.read_bytes(), extensible=extensible, extra=[odd], big=big))
-        with pytest.warns(wavfile.WavFileWarning, match="not understood"):  # the odd chunk
-            expected = scipy_decode(src)
-        rate, samples = read_wav(str(src))
-    assert rate == RATE
-    assert samples.shape == expected.shape
-    assert samples.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("fmt", sorted(WAV_FORMATS))
-def test_read_wav_reads_rifx_as_its_riff_twin(tmp_path, fmt):
-    riff_path, rifx_path = tmp_path / "riff.wav", tmp_path / "rifx.wav"
-    write_in_format(riff_path, fmt, GRID)
-    rifx_path.write_bytes(rewrap(riff_path.read_bytes(), big=True))
-    assert rifx_path.read_bytes()[:4] == b"RIFX"
-    rate, samples = read_wav(str(rifx_path))
-    assert rate == RATE
-    assert samples.tobytes() == read_wav(str(riff_path))[1].tobytes() == GRID.tobytes()
-
-
-@pytest.mark.parametrize("channels", [1, 2, 3])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
-def test_write_wav_writes_scipys_bytes(tmp_path, dtype, channels):
-    x = (np.random.default_rng(channels).standard_normal((5, channels)) * 1000).astype(dtype)
-    x = x[:, 0] if channels == 1 else x
-    write_wav(str(tmp_path / "ours.wav"), RATE, x)
-    # any array but a float32 one is written as float64
-    wavfile.write(tmp_path / "scipy.wav", RATE, x if dtype is np.float32 else x.astype(np.float64))
-    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
-
-
 @st.composite
 def declip_wav_cases(draw):
     fmt = draw(st.sampled_from(sorted(WAV_FORMATS)))
@@ -989,8 +587,8 @@ def declip_wav_cases(draw):
         run = x[start : start + draw(st.integers(1, n)), draw(st.integers(0, channels - 1))]
         run[:] = np.where(np.arange(run.size) % 2, 0.0, -0.0)  # reliable: theta > 2 delta
     # a clip level the format stores exactly, so clipped samples read back at +-theta
-    theta = float(_on_format_grid(np.array(draw(st.floats(0.2, 1.2)) * 0.9), fmt))
-    y = _on_format_grid(np.clip(x, -theta, theta), fmt)
+    theta = float(on_format_grid(np.array(draw(st.floats(0.2, 1.2)) * 0.9), fmt))
+    y = on_format_grid(np.clip(x, -theta, theta), fmt)
     theta_arg = draw(st.sampled_from(["auto", repr(theta)]))
     variant = draw(st.sampled_from([v.value for v in Variant]))
     return fmt, y, frame_len, hop, theta_arg, variant
@@ -1027,11 +625,11 @@ def clip_wav_cases(draw):
     channels = draw(st.integers(1, 3))
     n = draw(st.integers(16, 200))  # enough samples that a PCM32 file is no float32 file
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, channels))
-    x = _on_format_grid(x * 0.9 / np.max(np.abs(x)), fmt)
+    x = on_format_grid(x * 0.9 / np.max(np.abs(x)), fmt)
     # off every grid but float64's: clipping makes samples the input format does not hold
     theta = draw(st.floats(0.1, 0.85))
     assume(float(np.float32(theta)) != theta)
-    assume(float(_on_format_grid(np.array(theta), "pcm32")) != theta)
+    assume(float(on_format_grid(np.array(theta), "pcm32")) != theta)
     return fmt, x, theta
 
 

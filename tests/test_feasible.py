@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spadeclip.feasible import ClipModel, auto_theta, detect_masks, hard_clip, project_gamma
-from spadeclip.frames import make_frame
-from spadeclip.segmentation import SegmentationPlan, restrict_frames
-from spadeclip.verification import project_gamma_coef
 
 
 def simple_model():
@@ -159,27 +156,6 @@ def test_derived_masks_partition_and_match_thresholds(case):
     assert m.num_clipped == np.count_nonzero(~ref_r)
 
 
-@given(
-    hnp.arrays(float, st.integers(1, 40), elements=st.floats(-2, 2)),
-    st.integers(1, 12),
-    st.integers(1, 12),
-)
-def test_restrict_frames_padding_is_free(y, frame_len, hop):
-    # row m, column n of each field holds the global sample pos = m*hop + n;
-    # padding past the signal is free: y = 0, lo = -inf, hi = +inf
-    hop = min(hop, frame_len)
-    plan = SegmentationPlan(len(y), frame_len, hop)
-    model = detect_masks(y, 0.5)
-    frames = restrict_frames(model, plan)
-    pos = np.arange(plan.num_frames)[:, None] * hop + np.arange(frame_len)
-    pad = pos >= len(y)
-    np.testing.assert_array_equal(frames.mask_free, pad)
-    for name, fill in (("y", 0.0), ("lo", -np.inf), ("hi", np.inf)):
-        got = getattr(frames, name)
-        assert np.all(got[pad] == fill), name
-        np.testing.assert_array_equal(got[~pad], getattr(model, name)[pos[~pad]], err_msg=name)
-
-
 def test_project_gamma_idempotent_and_y_feasible():
     rng = np.random.default_rng(1)
     y = hard_clip(rng.standard_normal(32), 0.7)
@@ -206,64 +182,3 @@ def test_project_gamma_nearest_feasible_point_sampling_oracle():
 def test_project_gamma_length_mismatch():
     with pytest.raises(ValueError):
         project_gamma(np.zeros(5), simple_model())
-
-
-def test_project_gamma_coef_zero_correction():
-    op = make_frame(16, 2)
-    rng = np.random.default_rng(3)
-    y = hard_clip(rng.standard_normal(16), 0.6)
-    m = detect_masks(y, 0.6)
-    c = op.analyze(project_gamma(rng.standard_normal(16), m))
-    np.testing.assert_allclose(project_gamma_coef(c, m, op), c, atol=1e-12)
-
-
-def test_project_gamma_coef_matches_direct_formula_unitary():
-    # agreement needs c in the range of analyze: the direct formula discards
-    # the component of c in the kernel of synthesize (on a unitary frame, the
-    # imaginary parts of DC and Nyquist)
-    op = make_frame(16, 1)
-    rng = np.random.default_rng(4)
-    y = hard_clip(rng.standard_normal(16), 0.5)
-    m = detect_masks(y, 0.5)
-    for _ in range(20):
-        c = op.analyze(rng.standard_normal(16))
-        one_step = project_gamma_coef(c, m, op)
-        direct = op.analyze(project_gamma(op.synthesize(c), m))
-        assert np.linalg.norm(one_step - direct) <= 1e-12
-
-
-def test_project_gamma_coef_feasibility():
-    op = make_frame(16, 2)
-    rng = np.random.default_rng(5)
-    y = hard_clip(rng.standard_normal(16), 0.5)
-    m = detect_masks(y, 0.5)
-    q = op.coeff_len
-    for _ in range(100):
-        c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-        v = op.synthesize(project_gamma_coef(c, m, op))
-        assert np.max(np.abs(v[m.mask_r] - y[m.mask_r])) <= 1e-10
-        assert np.all(v[m.mask_h] >= 0.5 - 1e-10)
-        assert np.all(v[m.mask_l] <= -0.5 + 1e-10)
-
-
-def test_project_gamma_coef_is_projection_sampling_oracle():
-    # nearest point among random feasible coefficient vectors
-    op = make_frame(8, 2)
-    rng = np.random.default_rng(6)
-    y = hard_clip(rng.standard_normal(8), 0.5)
-    m = detect_masks(y, 0.5)
-    q = op.coeff_len
-    for _ in range(20):
-        c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-        z = project_gamma_coef(c, m, op)
-        d = np.linalg.norm(z - c)
-        for _ in range(50):
-            w = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-            w_feas = project_gamma_coef(w, m, op)
-            assert d <= np.linalg.norm(w_feas - c) + 1e-10
-
-
-def test_project_gamma_coef_length_mismatch():
-    op = make_frame(8, 2)
-    with pytest.raises(ValueError):
-        project_gamma_coef(np.zeros(8, dtype=complex), simple_model(), op)

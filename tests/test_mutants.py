@@ -22,3 +22,5 @@ def test_mutant_old_text_occurs_once_and_its_tests_exist(mutant, collected_kills
     assert (ROOT / "src" / mutant.file).read_text().count(mutant.old) == 1
     assert mutant.kills
     assert [t for t in mutant.kills if t not in collected_kills] == []
+    # spadeclip/<m>.py is tested in tests/test_<m>.py, and that file kills the module's mutants
+    assert any(t.startswith(f"tests/test_{Path(mutant.file).stem}.py::") for t in mutant.kills)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spadeclip.feasible import detect_masks
 from spadeclip.segmentation import (
@@ -30,6 +31,27 @@ def test_split_half_overlap_with_tail_padding():
     assert frames.shape == (4, 4)
     np.testing.assert_array_equal(frames[2], [5, 6, 7, 8])
     np.testing.assert_array_equal(frames[3], [7, 8, 9, 0])
+
+
+@given(
+    hnp.arrays(float, st.integers(1, 40), elements=st.floats(-2, 2)),
+    st.integers(1, 12),
+    st.integers(1, 12),
+)
+def test_restrict_frames_padding_is_free(y, frame_len, hop):
+    # row m, column n of each field holds the global sample pos = m*hop + n;
+    # padding past the signal is free: y = 0, lo = -inf, hi = +inf
+    hop = min(hop, frame_len)
+    plan = SegmentationPlan(len(y), frame_len, hop)
+    model = detect_masks(y, 0.5)
+    frames = restrict_frames(model, plan)
+    pos = np.arange(plan.num_frames)[:, None] * hop + np.arange(frame_len)
+    pad = pos >= len(y)
+    np.testing.assert_array_equal(frames.mask_free, pad)
+    for name, fill in (("y", 0.0), ("lo", -np.inf), ("hi", np.inf)):
+        got = getattr(frames, name)
+        assert np.all(got[pad] == fill), name
+        np.testing.assert_array_equal(got[~pad], getattr(model, name)[pos[~pad]], err_msg=name)
 
 
 @pytest.mark.parametrize("total_len,frame_len,hop", [(0, 4, 2), (8, 4, 0), (8, 4, 5)])

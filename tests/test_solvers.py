@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from contracts import assert_in_box
+from inputs import three_partials
 from spadeclip.feasible import ClipModel, detect_masks, hard_clip
 from spadeclip.frames import make_frame
 from spadeclip.metrics import FrameStats, sdr
@@ -133,7 +134,7 @@ def test_sspade_dr_all_reliable_pins_estimate():
     _assert_all_reliable_pins_estimate(3, SolverParams(s=2, epsilon=1e-12, variant=Variant.SSPADE_DR))
 
 
-@pytest.mark.parametrize("variant", [Variant.ASPADE, Variant.SSPADE_ORIG])
+@pytest.mark.parametrize("variant", list(Variant))
 def test_first_step_matches_dense_matrix_reference(variant):
     # an odd sparsity: each kept half-spectrum bin is a whole conjugate pair
     n = 16
@@ -148,7 +149,8 @@ def test_first_step_matches_dense_matrix_reference(variant):
     state = init_state(model, op, params)
     step(state, model, op, params)
 
-    # matrix-form reference for one step from u=0, coefficients A y
+    # matrix-form reference for one step from u=0, coefficients A y; the DR
+    # step thresholds A(x_hat - u) = A y too and projects D z_bar + u = v
     w = a_mat @ model.y
     z_ref = np.zeros(op.coeff_len, dtype=complex)
     keep = np.argsort(-np.abs(w), kind="stable")[:3]
@@ -162,6 +164,7 @@ def test_first_step_matches_dense_matrix_reference(variant):
     u_ref = {
         Variant.ASPADE: a_mat @ x_ref - z_ref,
         Variant.SSPADE_ORIG: c + a_mat @ (x_ref - v) - z_ref,
+        Variant.SSPADE_DR: v - x_ref,  # the time-domain dual (u + D z_bar) - x_hat
     }
 
     np.testing.assert_allclose(state.z_bar, z_ref, atol=1e-10)
@@ -285,13 +288,7 @@ PHASE_SETS = [PINNED_PHASES] + [
 
 def _sdr_gains_over_phase_sets(variant, phase_sets):
     n = 256
-    t = np.arange(n)
-    x = np.array([
-        np.sin(2 * np.pi * 4 * t / n + p[0])
-        + 0.6 * np.sin(2 * np.pi * 11 * t / n + p[1])
-        + 0.35 * np.sin(2 * np.pi * 23 * t / n + p[2])
-        for p in phase_sets
-    ])
+    x = np.array([three_partials(n, n, p) for p in phase_sets])
     thetas = 0.3 * np.max(np.abs(x), axis=-1)
     y = np.array([hard_clip(row, theta) for row, theta in zip(x, thetas)])
     model = _stacked([detect_masks(row, theta, 0.0) for row, theta in zip(y, thetas)])
@@ -302,13 +299,13 @@ def _sdr_gains_over_phase_sets(variant, phase_sets):
 
 
 @pytest.mark.parametrize("variant", [Variant.ASPADE, Variant.SSPADE_DR])
-def test_run_solver_improves_sdr_on_sparse_signal(variant):
+def test_solve_batch_improves_sdr_on_sparse_signal(variant):
     (gain,) = _sdr_gains_over_phase_sets(variant, [PINNED_PHASES])
     assert gain >= 10.0
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_run_solver_median_sdr_gain_over_phase_sets(variant):
+def test_solve_batch_median_sdr_gain_over_phase_sets(variant):
     assert np.median(_sdr_gains_over_phase_sets(variant, PHASE_SETS)) >= 12.0
 
 
@@ -328,7 +325,7 @@ def test_solve_batch_transforms_nothing_without_a_clipped_sample():
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_run_solver_capped_returns_last_iterate(variant):
+def test_solve_batch_capped_returns_last_iterate(variant):
     # on this frame some earlier iterate has a lower residual than the last
     rng = np.random.default_rng(19)
     y = hard_clip(rng.standard_normal(16), 0.4)
@@ -348,7 +345,7 @@ def test_run_solver_capped_returns_last_iterate(variant):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_run_solver_output_feasible_exactly(variant):
+def test_solve_batch_output_feasible_exactly(variant):
     model = make_test_model()
     op = make_frame(64, 2)
     params = SolverParams(epsilon=0.1, variant=variant)

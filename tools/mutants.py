@@ -6,7 +6,9 @@ root) that must fail once it is applied. `tools/run_mutants.py` applies
 the entries one at a time to a copy of the tree; `tests/test_mutants.py`
 checks that every old text still occurs exactly once and that pytest
 collects every test ID, so a change that rewrites a mutated line or
-renames a test restates its mutant here.
+renames a test restates its mutant here. It also checks the naming rule:
+`spadeclip/<m>.py` is tested in `tests/test_<m>.py`, and at least one
+kill ID of a mutant of `spadeclip/<m>.py` lives in that file.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ MUTANTS = [
         "spadeclip/segmentation.py",
         "hi=_frames_of(model.hi, plan, np.inf)",
         "hi=_frames_of(model.lo, plan, np.inf)",
-        ("tests/test_feasible.py::test_restrict_frames_padding_is_free",),
+        ("tests/test_segmentation.py::test_restrict_frames_padding_is_free",),
     ),
     Mutant(
         "tail padding pinned to a reliable 0",
@@ -53,8 +55,8 @@ MUTANTS = [
         "lo=_frames_of(model.lo, plan, -np.inf),\n        hi=_frames_of(model.hi, plan, np.inf),",
         "lo=_frames_of(model.lo, plan, 0.0),\n        hi=_frames_of(model.hi, plan, 0.0),",
         (
-            "tests/test_feasible.py::test_restrict_frames_padding_is_free",
-            "tests/test_cli.py::test_declip_signal_median_sdr_gain_over_short_tones",
+            "tests/test_segmentation.py::test_restrict_frames_padding_is_free",
+            "tests/test_pipeline.py::test_declip_signal_median_sdr_gain_over_short_tones",
         ),
     ),
     Mutant(
@@ -70,6 +72,7 @@ MUTANTS = [
         "restored = project_gamma(overlap_add(frames, plan), model)",
         "restored = overlap_add(frames, plan)",
         (
+            "tests/test_pipeline.py::test_pipeline_batch_equals_frames_solved_alone",
             "tests/test_acceptance.py::test_criterion_8_feasibility_and_passthrough[Variant.ASPADE]",
             "tests/test_acceptance.py::test_criterion_8_feasibility_and_passthrough[Variant.SSPADE_ORIG]",
             "tests/test_acceptance.py::test_criterion_8_feasibility_and_passthrough[Variant.SSPADE_DR]",
@@ -80,14 +83,17 @@ MUTANTS = [
         "spadeclip/pipeline.py",
         "if reference is not None and clipped.any() and not ref[clipped].any():",
         "if False:",
-        ("tests/test_cli.py::test_declip_signal_rejects_a_reference_zero_on_every_clipped_sample",),
+        ("tests/test_pipeline.py::test_declip_signal_rejects_a_reference_zero_on_every_clipped_sample",),
     ),
     Mutant(
         "even P: Nyquist weighted sqrt(2/P)",
         "spadeclip/frames.py",
         "if p % 2 == 0:",
         "if p % 2 == 1:",
-        ("tests/test_cli.py::test_verify_subcommand_passes",),
+        (
+            "tests/test_frames.py::test_analyze_known_values",
+            "tests/test_cli.py::test_verify_subcommand_passes",
+        ),
     ),
     Mutant(
         "redundancy ignored",
@@ -101,7 +107,10 @@ MUTANTS = [
         "spadeclip/frames.py",
         "c *= self._weights",
         "c += self._weights",
-        ("tests/test_cli.py::test_verify_subcommand_passes",),
+        (
+            "tests/test_frames.py::test_analyze_known_values",
+            "tests/test_cli.py::test_verify_subcommand_passes",
+        ),
     ),
     Mutant(
         "hop 0 accepted",
@@ -167,6 +176,7 @@ MUTANTS = [
         "u += dz\n    u -= x",
         "u -= dz\n    u += x",
         (
+            "tests/test_solvers.py::test_first_step_matches_dense_matrix_reference[Variant.SSPADE_DR]",
             "tests/test_acceptance.py::test_criterion_5_unitary_equivalence",
             "tests/test_golden.py::test_matches_golden[sspade-dr-2-1]",
         ),
@@ -217,7 +227,7 @@ MUTANTS = [
         "spadeclip/wavio.py",
         "_BITS = {PCM: range(1, 33)",
         "_BITS = {PCM: range(1, 34)",
-        ("tests/test_cli.py::test_read_wav_names_what_it_rejects[pcm33]",),
+        ("tests/test_wavio.py::test_read_wav_names_what_it_rejects[pcm33]",),
     ),
     Mutant(
         "PCM bytes placed low in the int32",
@@ -225,8 +235,8 @@ MUTANTS = [
         "word[:, 4 - width + j] = raw[:, j]",
         "word[:, j] = raw[:, j]",
         (
-            "tests/test_cli.py::test_pcm_widths_decode_to_the_grid[24]",
-            "tests/test_cli.py::test_read_wav_reads_rifx_as_its_riff_twin[pcm24]",
+            "tests/test_wavio.py::test_pcm_widths_decode_to_the_grid[24]",
+            "tests/test_wavio.py::test_read_wav_reads_rifx_as_its_riff_twin[pcm24]",
         ),
     ),
     Mutant(
@@ -234,7 +244,7 @@ MUTANTS = [
         "spadeclip/wavio.py",
         "word[:, 3] ^= 0x80 if width == 1 else 0",
         "word[:, 3] ^= 0x00 if width == 1 else 0",
-        ("tests/test_cli.py::test_pcm_widths_decode_to_the_grid[8]",),
+        ("tests/test_wavio.py::test_pcm_widths_decode_to_the_grid[8]",),
     ),
     Mutant(
         "pad byte after an odd chunk ignored",
@@ -242,8 +252,8 @@ MUTANTS = [
         "pos += 8 + size + size % 2",
         "pos += 8 + size",
         (
-            "tests/test_cli.py::test_read_wav_skips_unknown_chunks",
-            "tests/test_cli.py::test_read_wav_decodes_as_scipy",
+            "tests/test_wavio.py::test_read_wav_skips_unknown_chunks",
+            "tests/test_wavio.py::test_read_wav_decodes_as_scipy",
         ),
     ),
 ]
