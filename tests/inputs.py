@@ -77,3 +77,17 @@ def write_in_format(path, fmt: str, x: np.ndarray) -> None:
         wavfile.write(path, RATE, x.astype(fmt))
     else:
         write_pcm(path, WAV_FORMATS[fmt], x)  # 24-bit through the stdlib
+
+
+def wav_chunks(blob: bytes) -> dict[bytes, bytes]:
+    """The chunk payloads, by id, of a well-formed little-endian WAV file."""
+    chunks, pos = {}, 12
+    while pos < len(blob):
+        size = int.from_bytes(blob[pos + 4 : pos + 8], "little")
+        chunks[blob[pos : pos + 4]] = blob[pos + 8 : pos + 8 + size]
+        pos += 8 + size + size % 2
+    return chunks
+
+
+# left and right channels on the grid every PCM width represents exactly
+GRID = np.array([[-1.0, 0.25], [-0.5, 0.0], [0.0, -0.5], [0.25, -1.0]])

@@ -236,7 +236,7 @@ MUTANTS = [
         "word[:, j] = raw[:, j]",
         (
             "tests/test_wavio.py::test_pcm_widths_decode_to_the_grid[24]",
-            "tests/test_wavio.py::test_read_wav_reads_rifx_as_its_riff_twin[pcm24]",
+            "tests/test_cli.py::test_read_wav_reads_rifx_as_its_riff_twin[pcm24]",
         ),
     ),
     Mutant(
@@ -253,7 +253,7 @@ MUTANTS = [
         "pos += 8 + size",
         (
             "tests/test_wavio.py::test_read_wav_skips_unknown_chunks",
-            "tests/test_wavio.py::test_read_wav_decodes_as_scipy",
+            "tests/test_cli.py::test_read_wav_decodes_as_scipy",
         ),
     ),
 ]
