@@ -104,6 +104,9 @@ def cmd_clip(args) -> int:
 
 
 def cmd_declip(args) -> int:
+    # the CSV is written after the WAV: at the same path it would overwrite it
+    if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.output):
+        raise ValueError(f"--csv {args.csv} and --output {args.output} name the same file")
     rate, y = read_wav(args.input)
     channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
     theta = auto_theta(y, args.delta_detect) if args.theta == "auto" else float(args.theta)

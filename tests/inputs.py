@@ -1,11 +1,14 @@
-"""Inputs several test files build: sparse test tones, and WAV files written
-without `spadeclip.wavio`. A plain module, as `contracts.py` is."""
+"""Inputs several test files build: sparse test tones, a three-sample clip
+model, and WAV files written without `spadeclip.wavio`. A plain module, as
+`contracts.py` is."""
 
 import struct
 import wave
 
 import numpy as np
 from scipy.io import wavfile
+
+from spadeclip.feasible import detect_masks
 
 RATE = 8000
 # PCM bit depths; None for the float formats
@@ -25,6 +28,11 @@ def three_partials(n, period, phases=(0.2, 1.0, 2.1)):
 def sparse_signal(n=2048, amp=1.0):
     x = three_partials(n, n / 4)
     return amp * x / np.max(np.abs(x))
+
+
+def simple_model():
+    # y = [0.5, 1, -1], theta 1: reliable / clipped-high / clipped-low
+    return detect_masks(np.array([0.5, 1.0, -1.0]), 1.0, delta_detect=0.0)
 
 
 def whole_wav(path, dtype) -> bytes:

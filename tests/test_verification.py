@@ -3,8 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from inputs import simple_model
 from spadeclip.cli import main
-from spadeclip.feasible import detect_masks
+from spadeclip.feasible import detect_masks, hard_clip, project_gamma
 from spadeclip.frames import FrameOperator, make_frame
 from spadeclip.solvers import SolverParams
 from spadeclip.verification import (
@@ -14,6 +15,7 @@ from spadeclip.verification import (
     brute_force_sparse_ls,
     check_unitary_equivalence,
     make_test_model,
+    project_gamma_coef,
     run_all_checks,
 )
 
@@ -129,3 +131,64 @@ def test_run_all_checks_single_trial_runs_every_family():
     assert len(reports) == 6
     assert all(isinstance(r, CheckReport) for r in reports)
     assert all(r.passed for r in reports)
+
+
+def test_project_gamma_coef_zero_correction():
+    op = make_frame(16, 2)
+    rng = np.random.default_rng(3)
+    y = hard_clip(rng.standard_normal(16), 0.6)
+    m = detect_masks(y, 0.6)
+    c = op.analyze(project_gamma(rng.standard_normal(16), m))
+    np.testing.assert_allclose(project_gamma_coef(c, m, op), c, atol=1e-12)
+
+
+def test_project_gamma_coef_matches_direct_formula_unitary():
+    # agreement needs c in the range of analyze: the direct formula discards
+    # the component of c in the kernel of synthesize (on a unitary frame, the
+    # imaginary parts of DC and Nyquist)
+    op = make_frame(16, 1)
+    rng = np.random.default_rng(4)
+    y = hard_clip(rng.standard_normal(16), 0.5)
+    m = detect_masks(y, 0.5)
+    for _ in range(20):
+        c = op.analyze(rng.standard_normal(16))
+        one_step = project_gamma_coef(c, m, op)
+        direct = op.analyze(project_gamma(op.synthesize(c), m))
+        assert np.linalg.norm(one_step - direct) <= 1e-12
+
+
+def test_project_gamma_coef_feasibility():
+    op = make_frame(16, 2)
+    rng = np.random.default_rng(5)
+    y = hard_clip(rng.standard_normal(16), 0.5)
+    m = detect_masks(y, 0.5)
+    q = op.coeff_len
+    for _ in range(100):
+        c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        v = op.synthesize(project_gamma_coef(c, m, op))
+        assert np.max(np.abs(v[m.mask_r] - y[m.mask_r])) <= 1e-10
+        assert np.all(v[m.mask_h] >= 0.5 - 1e-10)
+        assert np.all(v[m.mask_l] <= -0.5 + 1e-10)
+
+
+def test_project_gamma_coef_is_projection_sampling_oracle():
+    # nearest point among random feasible coefficient vectors
+    op = make_frame(8, 2)
+    rng = np.random.default_rng(6)
+    y = hard_clip(rng.standard_normal(8), 0.5)
+    m = detect_masks(y, 0.5)
+    q = op.coeff_len
+    for _ in range(20):
+        c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        z = project_gamma_coef(c, m, op)
+        d = np.linalg.norm(z - c)
+        for _ in range(50):
+            w = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+            w_feas = project_gamma_coef(w, m, op)
+            assert d <= np.linalg.norm(w_feas - c) + 1e-10
+
+
+def test_project_gamma_coef_length_mismatch():
+    op = make_frame(8, 2)
+    with pytest.raises(ValueError):
+        project_gamma_coef(np.zeros(8, dtype=complex), simple_model(), op)

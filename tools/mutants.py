@@ -144,6 +144,13 @@ MUTANTS = [
         ("tests/test_cli.py::test_declip_that_cannot_write_leaves_neither_file[--csv]",),
     ),
     Mutant(
+        "declip writes its CSV over its WAV",
+        "spadeclip/cli.py",
+        "if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.output):",
+        "if False:",
+        ("tests/test_cli.py::test_declip_refuses_a_csv_at_its_output_path",),
+    ),
+    Mutant(
         "an I/O error exits as invalid input",
         "spadeclip/cli.py",
         "return EXIT_IO if isinstance(exc, OSError) else EXIT_INVALID",
@@ -236,7 +243,7 @@ MUTANTS = [
         "word[:, j] = raw[:, j]",
         (
             "tests/test_wavio.py::test_pcm_widths_decode_to_the_grid[24]",
-            "tests/test_cli.py::test_read_wav_reads_rifx_as_its_riff_twin[pcm24]",
+            "tests/test_wavio.py::test_read_wav_reads_rifx_as_its_riff_twin[pcm24]",
         ),
     ),
     Mutant(
@@ -253,7 +260,7 @@ MUTANTS = [
         "pos += 8 + size",
         (
             "tests/test_wavio.py::test_read_wav_skips_unknown_chunks",
-            "tests/test_cli.py::test_read_wav_decodes_as_scipy",
+            "tests/test_wavio.py::test_read_wav_decodes_as_scipy",
         ),
     ),
 ]
