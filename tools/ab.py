@@ -81,11 +81,11 @@ def same_bytes(a, b) -> bool:
     )
 
 
-def time_ab(parent_src, seed=SEED, size=SIZE, passes=PASSES):
+def time_ab(parent_src, size=SIZE, passes=PASSES):
     """Yield one row per workload and variant; see the module docstring."""
     versions = (spadeclip, load_parent(parent_src))
     for workload in GENERATORS:
-        clips = make_inputs(workload, seed, size)
+        clips = make_inputs(workload, SEED, size)
         for variant in (v.value for v in spadeclip.Variant):
             runs = [[declip(pkg, clip, variant)[1:] for clip in clips] for pkg in versions]
             iters = [
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     print(f"{args.parent_src}: seed {SEED}, size {SIZE}, {PASSES} timed passes; change over parent")
     print(HEADER, flush=True)
-    for row in time_ab(args.parent_src, SEED, SIZE, PASSES):
+    for row in time_ab(args.parent_src, SIZE, PASSES):
         print(format_row(row), flush=True)
     return 0
 
