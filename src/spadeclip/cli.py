@@ -94,6 +94,16 @@ def _write_csv(fh, rows) -> None:
     writer.writerows(rows)
 
 
+def _refuse_same_file(args, written: str, *others: str) -> None:
+    """Refuse a run whose --<written> file is the file of one of the --<others>,
+    however the two paths are spelled: the write would destroy it."""
+    path = getattr(args, written)
+    for other in others:
+        other_path = getattr(args, other)
+        if os.path.realpath(other_path) == os.path.realpath(path):
+            raise ValueError(f"--{written} {path} and --{other} {other_path} name the same file")
+
+
 def cmd_clip(args) -> int:
     rate, x = read_wav(args.input)
     clipped = hard_clip(x, args.theta)
@@ -104,9 +114,9 @@ def cmd_clip(args) -> int:
 
 
 def cmd_declip(args) -> int:
-    # the CSV is written after the WAV: at the same path it would overwrite it
-    if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.output):
-        raise ValueError(f"--csv {args.csv} and --output {args.output} name the same file")
+    # the CSV is written after the WAV and would overwrite it, or the input
+    if args.csv:
+        _refuse_same_file(args, "csv", "output", "input")
     rate, y = read_wav(args.input)
     channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
     theta = auto_theta(y, args.delta_detect) if args.theta == "auto" else float(args.theta)
@@ -135,6 +145,8 @@ def cmd_declip(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.output:
+        _refuse_same_file(args, "output", "input")
     _, x = read_wav(args.input)
     if x.ndim > 1:
         raise ValueError(f"bench needs a mono reference; {args.input} has {x.shape[1]} channels")

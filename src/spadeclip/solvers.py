@@ -73,7 +73,7 @@ class Variant(Enum):
 
 
 # Each variant's default sparsity schedule (s, r), chosen on paired ΔSDR and
-# CPU time (`tools/schedule_sweep.py`, README "Sparsity schedule"). The
+# CPU time (`tools/ab.py schedule`, README "Sparsity schedule"). The
 # paper evaluates s = r = 1.
 SCHEDULES = {
     Variant.ASPADE: (4, 1),

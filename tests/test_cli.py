@@ -103,20 +103,47 @@ def test_declip_that_cannot_write_leaves_neither_file(clean_wav, tmp_path, unwri
     )
 
 
-@pytest.mark.parametrize("spelling", ["same", "dot-segment", "symlinked-dir"])
-def test_declip_refuses_a_csv_at_its_output_path(clean_wav, tmp_path, spelling):
-    # the CSV, written after the WAV, would overwrite it however the path is spelled
+SPELLINGS = ["same", "dot-segment", "symlinked-dir"]
+
+
+def spelled(tmp_path, name, spelling):
+    """(path, spelling): tmp_path/d/name, and that path spelled the given way."""
     (tmp_path / "d").mkdir()
     (tmp_path / "link").symlink_to(tmp_path / "d", target_is_directory=True)
-    out = str(tmp_path / "d" / "o.wav")
-    csv_path = {
-        "same": out,
-        "dot-segment": f"{tmp_path}/d/./o.wav",  # a str: pathlib would drop the "."
-        "symlinked-dir": str(tmp_path / "link" / "o.wav"),
+    path = str(tmp_path / "d" / name)
+    return path, {
+        "same": path,
+        "dot-segment": f"{tmp_path}/d/./{name}",  # a str: pathlib would drop the "."
+        "symlinked-dir": str(tmp_path / "link" / name),
     }[spelling]
+
+
+# a write at a path that is another option's file would destroy that file,
+# however the path is spelled
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_declip_refuses_a_csv_at_its_output_path(clean_wav, tmp_path, spelling):
+    out, csv_path = spelled(tmp_path, "o.wav", spelling)
     message = re.escape(f"--csv {csv_path} and --output {out} name the same file")
     args = ["--input", clean_wav, "--output", out, "--theta", 0.5, "--csv", csv_path]
     assert_refused(tmp_path, 2, message, "declip", *args)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_declip_refuses_a_csv_at_its_input_path(clean_wav, tmp_path, spelling):
+    src, csv_path = spelled(tmp_path, "in.wav", spelling)
+    os.replace(clean_wav, src)
+    message = re.escape(f"--csv {csv_path} and --input {src} name the same file")
+    args = ["--input", src, "--output", tmp_path / "o.wav", "--theta", 0.5, "--csv", csv_path]
+    assert_refused(tmp_path, 2, message, "declip", *args)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_bench_refuses_an_output_at_its_input_path(clean_wav, tmp_path, spelling):
+    src, out = spelled(tmp_path, "clean.wav", spelling)
+    os.replace(clean_wav, src)
+    message = re.escape(f"--output {out} and --input {src} name the same file")
+    args = ["--input", src, "--output", out, "--thetas", 0.5, "--variants", "aspade"]
+    assert_refused(tmp_path, 2, message, "bench", *args)
 
 
 @pytest.mark.parametrize("command", ["clip", "bench"])

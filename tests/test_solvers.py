@@ -299,13 +299,13 @@ def _sdr_gains_over_phase_sets(variant, phase_sets):
 
 
 @pytest.mark.parametrize("variant", [Variant.ASPADE, Variant.SSPADE_DR])
-def test_run_solver_improves_sdr_on_sparse_signal(variant):
+def test_solve_batch_improves_sdr_on_sparse_signal(variant):
     (gain,) = _sdr_gains_over_phase_sets(variant, [PINNED_PHASES])
     assert gain >= 10.0
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_run_solver_median_sdr_gain_over_phase_sets(variant):
+def test_solve_batch_median_sdr_gain_over_phase_sets(variant):
     assert np.median(_sdr_gains_over_phase_sets(variant, PHASE_SETS)) >= 12.0
 
 
@@ -325,7 +325,7 @@ def test_solve_batch_transforms_nothing_without_a_clipped_sample():
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_run_solver_capped_returns_last_iterate(variant):
+def test_solve_batch_capped_returns_last_iterate(variant):
     # on this frame some earlier iterate has a lower residual than the last
     rng = np.random.default_rng(19)
     y = hard_clip(rng.standard_normal(16), 0.4)
@@ -345,7 +345,7 @@ def test_run_solver_capped_returns_last_iterate(variant):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_run_solver_output_feasible_exactly(variant):
+def test_solve_batch_output_feasible_exactly(variant):
     model = make_test_model()
     op = make_frame(64, 2)
     params = SolverParams(epsilon=0.1, variant=variant)

@@ -146,9 +146,23 @@ MUTANTS = [
     Mutant(
         "declip writes its CSV over its WAV",
         "spadeclip/cli.py",
-        "if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.output):",
-        "if False:",
+        '_refuse_same_file(args, "csv", "output", "input")',
+        '_refuse_same_file(args, "csv", "input")',
         ("tests/test_cli.py::test_declip_refuses_a_csv_at_its_output_path",),
+    ),
+    Mutant(
+        "declip writes its CSV over its input",
+        "spadeclip/cli.py",
+        '_refuse_same_file(args, "csv", "output", "input")',
+        '_refuse_same_file(args, "csv", "output")',
+        ("tests/test_cli.py::test_declip_refuses_a_csv_at_its_input_path",),
+    ),
+    Mutant(
+        "bench writes its CSV over its input",
+        "spadeclip/cli.py",
+        '_refuse_same_file(args, "output", "input")',
+        "pass",
+        ("tests/test_cli.py::test_bench_refuses_an_output_at_its_input_path",),
     ),
     Mutant(
         "an I/O error exits as invalid input",
