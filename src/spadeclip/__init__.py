@@ -9,7 +9,7 @@ clipping-consistent signals.
 from .feasible import ClipModel, detect_masks, hard_clip, project_gamma
 from .frames import FrameOperator, make_frame
 from .metrics import DeclipReport, FrameStats, sdr
-from .pipeline import declip_signal
+from .pipeline import declip_signal, restore
 from .segmentation import SegmentationPlan, overlap_add, restrict_frames
 from .solvers import SolverParams, SolverState, Variant, hard_threshold, solve_batch
 
@@ -29,6 +29,7 @@ __all__ = [
     "make_frame",
     "overlap_add",
     "project_gamma",
+    "restore",
     "restrict_frames",
     "sdr",
     "solve_batch",

@@ -7,8 +7,8 @@ upper bound (lo = hi = y, [theta, +inf) or (-inf, -theta]), and the
 Euclidean projection onto it is an elementwise clamp. The bounds give the
 set in full, so the clip model stores them and not theta. A fourth kind,
 the free sample with bounds (-inf, +inf), is one nothing observed: the
-tail padding of a frame past its signal's end. The projection leaves it
-as it is.
+tail padding of a frame past its signal's end, or a gap inside a signal,
+which `pipeline.restore` fills. The projection leaves it as it is.
 """
 
 from __future__ import annotations

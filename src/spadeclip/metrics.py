@@ -57,8 +57,9 @@ def _scaled_norm(x: np.ndarray, out: np.ndarray) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class FrameStats:
-    """A frame's iterations, last residual and convergence; a clip-free frame's are
-    (0, 0.0, True). The k it stopped at is `params.sparsity(iterations - converged)`."""
+    """A frame's iterations, last residual and convergence; a frame `pipeline.restore`
+    does not solve reports (0, 0.0, True). The k it stopped at is
+    `params.sparsity(iterations - converged)`."""
 
     iterations: int
     final_residual: float

@@ -21,15 +21,12 @@ The penalty parameter of the underlying augmented Lagrangian scales both
 indicator-constrained subproblems without moving their minimizers, so it
 never appears here.
 
-`solve_batch` is the one solve driver: it solves frames stacked along a
-leading axis and returns the restored samples and a `FrameStats` per
-frame. One frame is a batch of one, `model.select(np.newaxis)`. The
+`solve_batch` is the one solve driver: it solves every frame stacked
+along a leading axis and returns the restored samples and a `FrameStats`
+per frame. One frame is a batch of one, `model.select(np.newaxis)`. The
 sparsity schedule depends on the iteration count alone, so all frames of
-a batch share k. A frame with no clipped sample is a fixed point of every
-variant, so `solve_batch` passes it through with 0 iterations; free
-samples (a frame's tail padding past its signal's end) do not count as
-clipped, so a tail frame whose observed samples are all reliable is
-passed through too.
+a batch share k. Which frames of a signal need a solve is the pipeline's
+decision (`pipeline.restore`).
 
 Each variant's iteration is written once, as a kernel that advances a
 `SolverState` in place: apart from the two transforms, whose outputs the
@@ -266,23 +263,18 @@ def solve_batch(
 ) -> tuple[np.ndarray, list[FrameStats]]:
     """Solve every frame of a batched model (arrays of shape (frames, N)).
 
-    Returns the restored frames, one per row, and each frame's stats. A
-    frame with no clipped sample is returned as y with
-    `FrameStats(0, 0.0, True)`. Every other frame iterates until its
-    residual is <= epsilon (converged) or its k exceeds the coefficient
-    count `op.coeff_len` (not converged), and then leaves the batch, so the
-    other frames go on without it. Either way the frame returns its last
-    iterate, which is clipping-consistent, with that iterate's residual.
-    Non-convergence is not an error. A frame's result does not depend on
-    the other frames in the batch.
+    Returns the restored frames, one per row, and each frame's stats. Each
+    frame iterates until its residual is <= epsilon (converged) or its k
+    exceeds the coefficient count `op.coeff_len` (not converged), and then
+    leaves the batch, so the other frames go on without it. Either way the
+    frame returns its last iterate, which is clipping-consistent, with that
+    iterate's residual. Non-convergence is not an error. A frame's result
+    does not depend on the other frames in the batch.
     """
-    restored = model.y.copy()
-    stats = [FrameStats(0, 0.0, True)] * len(restored)
+    restored = np.empty_like(model.y)
+    stats = [None] * len(restored)
     # frame index of each row still in the batch
-    rows = np.flatnonzero(model.mask_clipped.any(axis=-1))
-    if not rows.size:
-        return restored, stats  # nothing to solve: no transform runs on an empty batch
-    model = model.select(rows)
+    rows = np.arange(len(restored))
     state = init_state(model, op, params)
     while rows.size:
         residual = step(state, model, op, params)

@@ -384,12 +384,13 @@ def test_verify_exits_1_on_a_check_over_its_tolerance(monkeypatch):
 
 
 def test_main_exits_130_on_keyboard_interrupt(monkeypatch):
-    import spadeclip.cli
+    import spadeclip.verification
 
-    def interrupted(args):
+    def interrupted(config):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(spadeclip.cli, "cmd_verify", interrupted)  # build_parser reads it per call
+    # verify looks the checks up when it runs; the parser is built once per process
+    monkeypatch.setattr(spadeclip.verification, "run_all_checks", interrupted)
     assert main(["verify"]) == 130
 
 

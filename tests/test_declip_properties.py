@@ -5,7 +5,7 @@ frames off the hop grid. Frames are short (16 to 64 samples), so even a
 frame that runs to the sparsity cap solves in milliseconds. Each solved
 frame must stop by the one rule `solve_batch` states: at its first
 iterate with residual <= epsilon, or once k passes the coefficient count;
-a frame with no clipped sample is passed through with 0 iterations.
+`restore` passes a frame with no clipped sample through with 0 iterations.
 
 The metamorphic relations at the end need no reference: negating the
 input, shifting it by one hop, scaling it by a power of two, or declipping

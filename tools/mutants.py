@@ -61,16 +61,31 @@ MUTANTS = [
     ),
     Mutant(
         "clip-free rule counts free samples as clipped",
-        "spadeclip/solvers.py",
-        "np.flatnonzero(model.mask_clipped.any(axis=-1))",
-        "np.flatnonzero(~model.mask_r.all(axis=-1))",
-        ("tests/test_solvers.py::test_solve_batch_transforms_nothing_without_a_clipped_sample",),
+        "spadeclip/pipeline.py",
+        "~frames.mask_r & (plan.sample_index < plan.total_len)",
+        "~frames.mask_r",
+        (
+            "tests/test_pipeline.py::test_restore_solves_no_frame_whose_only_free_samples_are_padding",
+            "tests/test_pipeline.py::test_restore_invariants_with_free_samples_inside",
+            "tests/test_declip_properties.py::test_declip_signal_invariants",
+        ),
+    ),
+    Mutant(
+        "a gap frame is skipped",
+        "spadeclip/pipeline.py",
+        "~frames.mask_r & (plan.sample_index < plan.total_len)",
+        "frames.mask_clipped",
+        (
+            "tests/test_pipeline.py::test_gap_oracle_unitary_frame",
+            "tests/test_pipeline.py::test_gap_oracle_redundant_frame",
+            "tests/test_pipeline.py::test_restore_invariants_with_free_samples_inside",
+        ),
     ),
     Mutant(
         "declip_signal without its final projection",
         "spadeclip/pipeline.py",
-        "restored = project_gamma(overlap_add(frames, plan), model)",
-        "restored = overlap_add(frames, plan)",
+        "return project_gamma(overlap_add(restored, plan), model), stats",
+        "return overlap_add(restored, plan), stats",
         (
             "tests/test_pipeline.py::test_pipeline_batch_equals_frames_solved_alone",
             "tests/test_acceptance.py::test_criterion_8_feasibility_and_passthrough[Variant.ASPADE]",
