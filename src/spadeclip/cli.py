@@ -146,8 +146,6 @@ def cmd_declip(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.output:
-        _refuse_same_file(args, "output", "input")
     _, x = read_wav(args.input)
     if x.ndim > 1:
         raise ValueError(f"bench needs a mono reference; {args.input} has {x.shape[1]} channels")
@@ -234,6 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # clip, declip and bench write --output after reading --input, which
+        # the write would destroy; verify has no --output, bench's is optional
+        if getattr(args, "output", None):
+            _refuse_same_file(args, "output", "input")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,10 +5,11 @@ y on reliable samples, are >= theta on clipped-high samples and <= -theta
 on clipped-low samples. That set is a box: every sample has a lower and an
 upper bound (lo = hi = y, [theta, +inf) or (-inf, -theta]), and the
 Euclidean projection onto it is an elementwise clamp. The bounds give the
-set in full, so the clip model stores them and not theta. A fourth kind,
-the free sample with bounds (-inf, +inf), is one nothing observed: the
-tail padding of a frame past its signal's end, or a gap inside a signal,
-which `pipeline.restore` fills. The projection leaves it as it is.
+set in full, so the clip model stores them alone: not theta, and not y,
+the box's point nearest 0. A fourth kind, the free sample with bounds
+(-inf, +inf), is one nothing observed: the tail padding of a frame past
+its signal's end, or a gap inside a signal, which `pipeline.restore`
+fills. The projection leaves it as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ DEFAULT_DELTA_DETECT = 1e-6
 
 @dataclass(frozen=True)
 class ClipModel:
-    """Observed clipped signal and the box of signals consistent with it.
+    """The box of signals consistent with a clipped observation y.
 
     Each sample x[n] must satisfy lo[n] <= x[n] <= hi[n]: a reliable sample
     has lo = hi = y, a clipped-high one [theta, +inf), a clipped-low one
@@ -38,20 +39,29 @@ class ClipModel:
     bounds; `detect_masks` checks it. The masks `mask_r`, `mask_h`,
     `mask_l`, `mask_free` (reliable / clipped-high / clipped-low / free)
     are read off the bounds and partition the samples; `num_clipped`
-    counts the clipped-high and clipped-low ones. A batch of frames stacks
-    `y` and the bounds along a leading axis.
+    counts the clipped-high and clipped-low ones. So is `y`, the box's
+    point nearest 0 and the solvers' start: the observation on reliable
+    samples (-0.0 too), the bound on clipped ones (so all of a hard clip)
+    and 0 on free ones. A batch of frames stacks the bounds along a leading
+    axis. A bound at infinity on its sample's bounded side (lo = +inf or
+    hi = -inf) raises ValueError: no finite signal lies in such a box.
     """
 
-    y: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.y)
-        if np.shape(self.lo) != shape or np.shape(self.hi) != shape:
-            raise ValueError(f"lo and hi must have the shape of y, {shape}")
+        if np.shape(self.lo) != np.shape(self.hi):
+            raise ValueError(f"lo and hi differ in shape: {np.shape(self.lo)}, {np.shape(self.hi)}")
         if not np.all(self.lo <= self.hi):
             raise ValueError("lo must not exceed hi")
+        if np.any(self.lo == np.inf) or np.any(self.hi == -np.inf):
+            raise ValueError("a bound at infinity on its bounded side (lo = +inf or hi = -inf)")
+
+    @property
+    def y(self) -> np.ndarray:
+        """The box's point nearest 0, a new array on every read."""
+        return project_gamma(np.zeros(np.shape(self.lo)), self)
 
     @property
     def mask_r(self) -> np.ndarray:
@@ -83,7 +93,7 @@ class ClipModel:
 
         `np.newaxis` makes a one-frame model a batch of one.
         """
-        return ClipModel(self.y[rows], self.lo[rows], self.hi[rows])
+        return ClipModel(self.lo[rows], self.hi[rows])
 
 
 def hard_clip(x: np.ndarray, theta: float) -> np.ndarray:
@@ -98,10 +108,11 @@ def detect_masks(
 ) -> ClipModel:
     """Classify samples of y against the clip threshold.
 
-    Samples within `delta_detect` of +-theta count as clipped; the rest
-    are reliable. theta must exceed `delta_detect`, or both bands would
-    hold 0 and every sample would count as clipped. Raises ValueError if y
-    holds a NaN or an infinity.
+    Samples within `delta_detect` of +-theta count as clipped, the rest
+    reliable with lo = hi = y: the model's `y` is y but on a clipped sample
+    short of +-theta, which reads its bound. theta must exceed
+    `delta_detect`, or both bands would hold 0 and every sample would
+    count as clipped. Raises ValueError if y holds a NaN or an infinity.
     """
     if not theta > 0:  # also rejects NaN
         raise ValueError(f"theta must be positive, got {theta}")
@@ -116,7 +127,7 @@ def detect_masks(
     low = y <= -theta + delta_detect
     lo = np.where(high, theta, np.where(low, -np.inf, y))
     hi = np.where(high, np.inf, np.where(low, -theta, y))
-    return ClipModel(y=y, lo=lo, hi=hi)
+    return ClipModel(lo=lo, hi=hi)
 
 
 def auto_theta(y: np.ndarray, delta_detect: float = DEFAULT_DELTA_DETECT) -> float:
@@ -135,9 +146,9 @@ def project_gamma(v: np.ndarray, model: ClipModel, out: np.ndarray | None = None
     which may be v itself, else to a new array.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != model.y.shape:
-        raise ValueError(f"expected shape {model.y.shape}, got {v.shape}")
+    if v.shape != model.lo.shape:
+        raise ValueError(f"expected shape {model.lo.shape}, got {v.shape}")
     # the bounds go second: on a tie (0.0 against -0.0) numpy's maximum and
-    # minimum return the second operand, so reliable samples keep y's bits
+    # minimum return the second operand, so reliable samples keep lo's bits
     out = np.maximum(v, model.lo, out=out)
     return np.minimum(out, model.hi, out=out)

@@ -9,7 +9,8 @@ recombines every frame before a last consistency projection. Such a
 sample is a clipped one or a free one inside the signal: a gap, which the
 same iteration fills, as in sparse audio inpainting (SPAIN, Mokrý et al.,
 EUSIPCO 2019). A frame that reaches past the signal's end leaves its tail
-padding free, so the solve fits only observed samples.
+padding free, so the solve fits only observed samples. Each solve starts
+from its frame's `y`, which is read off the frame's bounds.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ def restore(
     with `FrameStats(0, 0.0, True)`; when no frame is solved no transform
     runs. The overlap-add result is passed through the consistency
     projection once more, so the output lies in the model's box. Raises
-    ValueError if the model's y is not one-dimensional.
+    ValueError if the model's bounds are not one-dimensional.
     """
-    if np.ndim(model.y) != 1:
-        raise ValueError(f"restore takes the model of one signal, got y of shape {np.shape(model.y)}")
-    plan = SegmentationPlan(len(model.y), frame_len, hop)
+    if np.ndim(model.lo) != 1:
+        raise ValueError(f"restore takes the model of one signal, got bounds of shape {np.shape(model.lo)}")
+    plan = SegmentationPlan(len(model.lo), frame_len, hop)
     op = make_frame(frame_len, redundancy)
     frames = restrict_frames(model, plan)
-    restored = frames.y.copy()
+    restored = frames.y
     stats = [FrameStats(0, 0.0, True)] * plan.num_frames
     needs_solve = ~frames.mask_r & (plan.sample_index < plan.total_len)
     rows = np.flatnonzero(needs_solve.any(axis=-1))

@@ -99,13 +99,12 @@ def overlap_add(frames: np.ndarray, plan: SegmentationPlan) -> np.ndarray:
 
 
 def restrict_frames(model: ClipModel, plan: SegmentationPlan) -> ClipModel:
-    """Clip model of every frame at once, one row per frame: y and the bounds
+    """Clip model of every frame at once, one row per frame: the bounds
     restricted to the frame's range. Tail-padding samples beyond the signal
-    are free, bounds (-inf, +inf) with y = 0: nothing observed them, so the
-    solve leaves them where the synthesis puts them and `overlap_add` drops
-    them."""
+    are free, bounds (-inf, +inf), where the frames' y reads 0: nothing
+    observed them, so the solve leaves them where the synthesis puts them
+    and `overlap_add` drops them."""
     return ClipModel(
-        y=_frames_of(model.y, plan, 0.0),
         lo=_frames_of(model.lo, plan, -np.inf),
         hi=_frames_of(model.hi, plan, np.inf),
     )

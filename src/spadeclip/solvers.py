@@ -181,12 +181,12 @@ def hard_threshold(s_vec: np.ndarray, k: int, out: np.ndarray | None = None) -> 
 
 
 def init_state(model: ClipModel, op: FrameOperator, params: SolverParams) -> SolverState:
-    """Starting state: estimate pinned to the observation, zero dual."""
-    x_hat = model.y.copy()
-    z_bar = np.zeros(model.y.shape[:-1] + (op.coeff_len,), dtype=complex)
+    """Starting state: estimate at the model's `y` (a hard clip's observation), zero dual."""
+    x_hat = model.y
+    z_bar = np.zeros(x_hat.shape[:-1] + (op.coeff_len,), dtype=complex)
     if params.variant is Variant.SSPADE_DR:
-        return SolverState(x_hat, z_bar, u=np.zeros(model.y.shape))
-    return SolverState(x_hat, z_bar, u=np.zeros_like(z_bar), w=op.analyze(model.y))
+        return SolverState(x_hat, z_bar, u=np.zeros(x_hat.shape))
+    return SolverState(x_hat, z_bar, u=np.zeros_like(z_bar), w=op.analyze(x_hat))
 
 
 def _norm(a: np.ndarray):
@@ -271,7 +271,7 @@ def solve_batch(
     iterate's residual. Non-convergence is not an error. A frame's result
     does not depend on the other frames in the batch.
     """
-    restored = np.empty_like(model.y)
+    restored = np.empty_like(model.lo)
     stats = [None] * len(restored)
     # frame index of each row still in the batch
     rows = np.arange(len(restored))

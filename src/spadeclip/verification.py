@@ -118,7 +118,7 @@ def project_gamma_coef(
     Exact because synthesis composed with analysis is the identity on signals.
     """
     c = np.asarray(c, dtype=complex)
-    expected = model.y.shape[:-1] + (op.coeff_len,)
+    expected = model.lo.shape[:-1] + (op.coeff_len,)
     if c.shape != expected:
         raise ValueError(f"expected coefficients of shape {expected}, got {c.shape}")
     v = op.synthesize(c)
@@ -242,7 +242,7 @@ def check_unitary_equivalence(
     with a shared sparsity schedule and compares the time-domain estimates
     per iteration.
     """
-    op = make_frame(len(model.y), 1)
+    op = make_frame(len(model.lo), 1)
     states = {v: init_state(model, op, replace(params, variant=v)) for v in Variant}
     max_dev = 0.0
     for _ in range(n_iters):

@@ -138,6 +138,17 @@ def test_declip_refuses_a_csv_at_its_input_path(clean_wav, tmp_path, spelling):
 
 
 @pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("command", ["clip", "declip"])
+def test_clip_and_declip_refuse_an_output_at_their_input_path(clean_wav, tmp_path, command, spelling):
+    src, out = spelled(tmp_path, "in.wav", spelling)
+    os.replace(clean_wav, src)
+    data = Path(src).read_bytes()
+    message = re.escape(f"--output {out} and --input {src} name the same file")
+    assert_refused(tmp_path, 2, message, command, "--input", src, "--output", out, "--theta", 0.5)
+    assert Path(src).read_bytes() == data
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
 def test_bench_refuses_an_output_at_its_input_path(clean_wav, tmp_path, spelling):
     src, out = spelled(tmp_path, "clean.wav", spelling)
     os.replace(clean_wav, src)

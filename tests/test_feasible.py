@@ -47,10 +47,14 @@ def test_detect_masks_examples():
 
 def test_clip_model_validation():
     y = np.zeros(2)
-    with pytest.raises(ValueError):  # bounds of another shape than y
-        ClipModel(y, lo=np.zeros(3), hi=np.zeros(3))
-    with pytest.raises(ValueError):  # an empty box
-        ClipModel(y, lo=np.array([0.0, 1.0]), hi=np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="differ in shape"):  # lo against hi
+        ClipModel(lo=np.zeros(2), hi=np.zeros(3))
+    with pytest.raises(ValueError, match="lo must not exceed hi"):  # an empty box
+        ClipModel(lo=np.array([0.0, 1.0]), hi=np.array([0.0, 0.5]))
+    # a bound at infinity on its sample's bounded side: no finite signal fits
+    for bound in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="bound at infinity on its bounded side"):
+            ClipModel(lo=np.array([0.0, bound]), hi=np.array([0.0, bound]))
     with pytest.raises(ValueError):  # theta is checked where the box is built
         detect_masks(y, 0.0)
     for delta in (-1e-6, np.nan):  # and so is delta
@@ -139,7 +143,6 @@ def test_derived_masks_partition_and_match_thresholds(case):
     # each row gains one free sample, as tail padding is: it is in mask_free alone
     last = [(0, 0)] * (y.ndim - 1) + [(0, 1)]
     m = ClipModel(
-        np.pad(m.y, last),
         np.pad(m.lo, last, constant_values=-np.inf),
         np.pad(m.hi, last, constant_values=np.inf),
     )
@@ -150,6 +153,21 @@ def test_derived_masks_partition_and_match_thresholds(case):
         np.testing.assert_array_equal(got[..., :-1], ref)
     assert np.all(m.mask_free[..., -1])
     assert m.num_clipped == np.count_nonzero(~ref_r)
+
+
+def test_clip_model_y_is_read_off_the_bounds():
+    # on a hard clip y is the observation byte for byte, a reliable -0.0 and
+    # the samples clipped exactly at +-theta too
+    y = hard_clip(np.array([-0.0, 0.3, 0.9, -0.9, 0.0]), 0.5)
+    assert np.signbit(y[0])
+    for model in (detect_masks(y, 0.5, 0.0), detect_masks(y, 0.5)):
+        np.testing.assert_array_equal(model.y.view(np.int64), y.view(np.int64))
+    # a sample in the delta band, short of theta, reads its bound
+    np.testing.assert_array_equal(detect_masks(np.array([0.45, -0.45, 0.2]), 0.5, 0.1).y, [0.5, -0.5, 0.2])
+    # a free sample reads 0; each read is a new array
+    m = ClipModel(lo=np.array([-np.inf, 0.25, 1.0, -np.inf]), hi=np.array([np.inf, 0.25, np.inf, -1.0]))
+    np.testing.assert_array_equal(m.y, [0.0, 0.25, 1.0, -1.0])
+    assert m.y is not m.y
 
 
 def test_project_gamma_idempotent_and_y_feasible():

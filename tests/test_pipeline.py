@@ -206,8 +206,8 @@ GAP_START = 100
 
 def _gap_case(redundancy, gap, clipped):
     """One frame of synthesize(c), c 3-sparse, at peak 1, and its clip model:
-    `gap` free samples from GAP_START on, observed as 0 like tail padding,
-    the other samples reliable or, if clipped, clipped at 0.8."""
+    `gap` free samples from GAP_START on, whose y reads 0 as tail padding's
+    does, the other samples reliable or, if clipped, clipped at 0.8."""
     op = make_frame(GAP_FRAME, redundancy)
     rng = np.random.default_rng(0)
     c = np.zeros(op.coeff_len, dtype=complex)
@@ -217,12 +217,11 @@ def _gap_case(redundancy, gap, clipped):
     x = op.synthesize(c)
     x /= np.max(np.abs(x))
     theta = 0.8 if clipped else np.inf
-    y = hard_clip(x, theta) if clipped else x.copy()
-    model = detect_masks(y, theta, 0.0)
+    model = detect_masks(hard_clip(x, theta), theta, 0.0)
     lo, hi = model.lo.copy(), model.hi.copy()
     s = slice(GAP_START, GAP_START + gap)
-    y[s], lo[s], hi[s] = 0.0, -np.inf, np.inf
-    model = ClipModel(y, lo, hi)
+    lo[s], hi[s] = -np.inf, np.inf
+    model = ClipModel(lo, hi)
     assert model.mask_clipped.any() == clipped
     return x, model
 
@@ -287,7 +286,7 @@ def gap_cases(draw):
         variant=draw(st.sampled_from(list(Variant))),
     )
     redundancy = draw(st.sampled_from([1, 1.5, 2]))
-    return ClipModel(model.y, lo, hi), params, frame_len, hop, redundancy
+    return ClipModel(lo, hi), params, frame_len, hop, redundancy
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,7 +295,7 @@ def test_restore_invariants_with_free_samples_inside(case):
     model, params, frame_len, hop, redundancy = case
     out, per_frame = restore(model, params, frame_len, hop, redundancy)
     assert_in_box(out, model)
-    assert len(per_frame) == SegmentationPlan(len(model.y), frame_len, hop).num_frames
+    assert len(per_frame) == SegmentationPlan(len(model.lo), frame_len, hop).num_frames
     for m, stats in enumerate(per_frame):
         # the frame's samples inside the signal: its tail padding is cut off
         if model.mask_r[m * hop : m * hop + frame_len].all():

@@ -39,7 +39,7 @@ def test_split_half_overlap_with_tail_padding():
     st.integers(1, 12),
 )
 def test_restrict_frames_padding_is_free(y, frame_len, hop):
-    # row m, column n of each field holds the global sample pos = m*hop + n;
+    # row m, column n of lo, hi and y holds the global sample pos = m*hop + n;
     # padding past the signal is free: y = 0, lo = -inf, hi = +inf
     hop = min(hop, frame_len)
     plan = SegmentationPlan(len(y), frame_len, hop)

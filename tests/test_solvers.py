@@ -175,7 +175,7 @@ def test_first_step_matches_dense_matrix_reference(variant):
 
 
 def _stacked(models):
-    return ClipModel(*(np.stack([getattr(m, f) for m in models]) for f in ("y", "lo", "hi")))
+    return ClipModel(*(np.stack([getattr(m, f) for m in models]) for f in ("lo", "hi")))
 
 
 @pytest.mark.parametrize("redundancy", [1.5, 2])

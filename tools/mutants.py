@@ -43,6 +43,23 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "ClipModel.y ignores the box",
+        "spadeclip/feasible.py",
+        "return project_gamma(np.zeros(np.shape(self.lo)), self)",
+        "return np.zeros(np.shape(self.lo))",
+        (
+            "tests/test_feasible.py::test_clip_model_y_is_read_off_the_bounds",
+            "tests/test_golden.py::test_matches_golden[aspade-2-1]",
+        ),
+    ),
+    Mutant(
+        "a bound at infinity accepted",
+        "spadeclip/feasible.py",
+        "if np.any(self.lo == np.inf) or np.any(self.hi == -np.inf):",
+        "if False:",
+        ("tests/test_feasible.py::test_clip_model_validation",),
+    ),
+    Mutant(
         "frame hi taken from lo",
         "spadeclip/segmentation.py",
         "hi=_frames_of(model.hi, plan, np.inf)",
@@ -171,6 +188,16 @@ MUTANTS = [
         '_refuse_same_file(args, "csv", "output", "input")',
         '_refuse_same_file(args, "csv", "output")',
         ("tests/test_cli.py::test_declip_refuses_a_csv_at_its_input_path",),
+    ),
+    Mutant(
+        "clip and declip write over their input",
+        "spadeclip/cli.py",
+        'if getattr(args, "output", None):',
+        'if args.command == "bench":',
+        (
+            "tests/test_cli.py::test_clip_and_declip_refuse_an_output_at_their_input_path[clip-same]",
+            "tests/test_cli.py::test_clip_and_declip_refuse_an_output_at_their_input_path[declip-same]",
+        ),
     ),
     Mutant(
         "bench writes its CSV over its input",
