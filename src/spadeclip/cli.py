@@ -12,11 +12,12 @@ import csv
 import functools
 import os
 import sys
+from itertools import combinations, product
 
 import numpy as np
 
-from .feasible import DEFAULT_DELTA_DETECT, auto_theta, hard_clip
-from .pipeline import DEFAULT_FRAME_LEN, DEFAULT_HOP, DEFAULT_REDUNDANCY, declip_signal
+from .feasible import DEFAULT_DELTA_DETECT, ClipModel, auto_theta, hard_clip
+from .pipeline import DEFAULT_FRAME_LEN, DEFAULT_HOP, DEFAULT_REDUNDANCY, declip_signal, restore
 from .solvers import SCHEDULES, SolverParams, Variant
 from .wavio import read_wav, write_wav
 
@@ -95,14 +96,17 @@ def _write_csv(fh, rows) -> None:
     writer.writerows(rows)
 
 
-def _refuse_same_file(args, written: str, *others: str) -> None:
-    """Refuse a run whose --<written> file is the file of one of the --<others>,
-    however the two paths are spelled: the write would destroy it."""
-    path = getattr(args, written)
-    for other in others:
-        other_path = getattr(args, other)
-        if os.path.realpath(other_path) == os.path.realpath(path):
-            raise ValueError(f"--{written} {path} and --{other} {other_path} name the same file")
+def _refuse_overwrite(args) -> None:
+    """Refuse a run whose path option names the file of an earlier one, however spelled or linked."""
+    # every command reads --input first and writes the later options: a write would destroy it
+    named = [(o, getattr(args, o)) for o in ("input", "output", "csv") if getattr(args, o, None)]
+    for (earlier, other), (later, path) in combinations(named, 2):
+        try:
+            same = os.path.samefile(path, other)
+        except OSError:  # one is not written yet: compare where it would be
+            same = os.path.realpath(path) == os.path.realpath(other)
+        if same:
+            raise ValueError(f"--{later} {path} and --{earlier} {other} name the same file")
 
 
 def cmd_clip(args) -> int:
@@ -115,9 +119,6 @@ def cmd_clip(args) -> int:
 
 
 def cmd_declip(args) -> int:
-    # the CSV is written after the WAV and would overwrite it, or the input
-    if args.csv:
-        _refuse_same_file(args, "csv", "output", "input")
     rate, y = read_wav(args.input)
     channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
     theta = auto_theta(y, args.delta_detect) if args.theta == "auto" else float(args.theta)
@@ -153,16 +154,16 @@ def cmd_bench(args) -> int:
     if peak == 0:  # every theta, a fraction of the peak, would be 0
         raise ValueError(f"{args.input}: reference is silent (all samples are zero)")
     variants = [Variant(v) for v in args.variants.split(",")]
-    thetas = [float(t) for t in args.thetas.split(",")]
+    # every theta and redundancy is checked before the first solve. Each theta comes
+    # with the reference clipped at it, which hard_clip refuses for a bad theta
+    clips = [(t, hard_clip(x, t * peak)) for t in map(float, args.thetas.split(","))]
     redundancies = [float(r) for r in args.redundancies.split(",")]
+    for red in redundancies:  # restore on one reliable sample checks the framing, solves nothing
+        restore(ClipModel(x[:1], x[:1]), SolverParams(), args.frame_len, args.hop, red)
     rows = []
-    for variant in variants:
-        for theta_rel in thetas:
-            theta = theta_rel * peak
-            y = hard_clip(x, theta)
-            for red in redundancies:
-                _, report = _declip(args, variant, y, theta, red, reference=x)
-                rows.append(_csv_row(variant.value, theta_rel, red, report))
+    for variant, (theta_rel, y), red in product(variants, clips, redundancies):
+        _, report = _declip(args, variant, y, theta_rel * peak, red, reference=x)
+        rows.append(_csv_row(variant.value, theta_rel, red, report))
     # every cell is computed before the output is opened: a failing bench writes nothing
     if args.output:
         with open(args.output, "w", newline="") as fh:
@@ -232,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # clip, declip and bench write --output after reading --input, which
-        # the write would destroy; verify has no --output, bench's is optional
-        if getattr(args, "output", None):
-            _refuse_same_file(args, "output", "input")
+        _refuse_overwrite(args)  # before any command reads or writes a file
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

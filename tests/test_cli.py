@@ -103,23 +103,32 @@ def test_declip_that_cannot_write_leaves_neither_file(clean_wav, tmp_path, unwri
     )
 
 
-SPELLINGS = ["same", "dot-segment", "symlinked-dir"]
+SPELLINGS = ["same", "dot-segment", "symlinked-dir", "hard-link"]
 
 
-def spelled(tmp_path, name, spelling):
-    """(path, spelling): tmp_path/d/name, and that path spelled the given way."""
+def spelled(tmp_path, name, spelling, source=None):
+    """(path, spelling): tmp_path/d/name, holding the file source when one is
+    given, and that path spelled the given way. A hard link needs a file to
+    link: a missing one is created empty first, as a stale output of an
+    earlier run would be."""
     (tmp_path / "d").mkdir()
     (tmp_path / "link").symlink_to(tmp_path / "d", target_is_directory=True)
     path = str(tmp_path / "d" / name)
+    if source is not None:
+        os.replace(source, path)
+    if spelling == "hard-link":
+        Path(path).touch()
+        os.link(path, tmp_path / "d" / f"linked-{name}")
     return path, {
         "same": path,
         "dot-segment": f"{tmp_path}/d/./{name}",  # a str: pathlib would drop the "."
         "symlinked-dir": str(tmp_path / "link" / name),
+        "hard-link": str(tmp_path / "d" / f"linked-{name}"),
     }[spelling]
 
 
 # a write at a path that is another option's file would destroy that file,
-# however the path is spelled
+# however the path is spelled or linked
 @pytest.mark.parametrize("spelling", SPELLINGS)
 def test_declip_refuses_a_csv_at_its_output_path(clean_wav, tmp_path, spelling):
     out, csv_path = spelled(tmp_path, "o.wav", spelling)
@@ -130,18 +139,18 @@ def test_declip_refuses_a_csv_at_its_output_path(clean_wav, tmp_path, spelling):
 
 @pytest.mark.parametrize("spelling", SPELLINGS)
 def test_declip_refuses_a_csv_at_its_input_path(clean_wav, tmp_path, spelling):
-    src, csv_path = spelled(tmp_path, "in.wav", spelling)
-    os.replace(clean_wav, src)
+    src, csv_path = spelled(tmp_path, "in.wav", spelling, clean_wav)
+    data = Path(src).read_bytes()
     message = re.escape(f"--csv {csv_path} and --input {src} name the same file")
     args = ["--input", src, "--output", tmp_path / "o.wav", "--theta", 0.5, "--csv", csv_path]
     assert_refused(tmp_path, 2, message, "declip", *args)
+    assert Path(src).read_bytes() == data
 
 
 @pytest.mark.parametrize("spelling", SPELLINGS)
 @pytest.mark.parametrize("command", ["clip", "declip"])
 def test_clip_and_declip_refuse_an_output_at_their_input_path(clean_wav, tmp_path, command, spelling):
-    src, out = spelled(tmp_path, "in.wav", spelling)
-    os.replace(clean_wav, src)
+    src, out = spelled(tmp_path, "in.wav", spelling, clean_wav)
     data = Path(src).read_bytes()
     message = re.escape(f"--output {out} and --input {src} name the same file")
     assert_refused(tmp_path, 2, message, command, "--input", src, "--output", out, "--theta", 0.5)
@@ -150,8 +159,7 @@ def test_clip_and_declip_refuse_an_output_at_their_input_path(clean_wav, tmp_pat
 
 @pytest.mark.parametrize("spelling", SPELLINGS)
 def test_bench_refuses_an_output_at_its_input_path(clean_wav, tmp_path, spelling):
-    src, out = spelled(tmp_path, "clean.wav", spelling)
-    os.replace(clean_wav, src)
+    src, out = spelled(tmp_path, "clean.wav", spelling, clean_wav)
     message = re.escape(f"--output {out} and --input {src} name the same file")
     args = ["--input", src, "--output", out, "--thetas", 0.5, "--variants", "aspade"]
     assert_refused(tmp_path, 2, message, "bench", *args)
@@ -282,15 +290,21 @@ def test_bench_has_no_redundancy_option(clean_wav):
     "option,value,message",
     [
         ("--redundancies", "inf", "redundancy must be finite and >= 1, got inf"),
+        ("--redundancies", "2,inf", "redundancy must be finite and >= 1, got inf"),  # a later value
         ("--epsilon", "nan", "epsilon must be nonnegative, got nan"),
-        ("--thetas", "0.5,nan", "theta must be positive, got nan"),  # after the first cell
+        ("--thetas", "0.5,nan", "theta must be positive, got nan"),  # a later value
         ("--variants", "foo", "'foo' is not a valid Variant"),
         ("--variants", "sspade-DR", "'sspade-DR' is not a valid Variant"),
     ],
-    ids=["--redundancies-inf", "--epsilon-nan", "--thetas-0.5,nan", "--variants-foo",
-         "--variants-sspade-DR"],
+    ids=["--redundancies-inf", "--redundancies-2,inf", "--epsilon-nan",
+         "--thetas-0.5,nan", "--variants-foo", "--variants-sspade-DR"],
 )  # fmt: skip
-def test_failing_bench_writes_nothing(clean_wav, tmp_path, option, value, message):
+def test_failing_bench_writes_nothing(clean_wav, tmp_path, monkeypatch, option, value, message):
+    # a bad value anywhere in the grid is refused before the first solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a frame was solved before the bench was refused")
+
+    monkeypatch.setattr(spadeclip.pipeline, "solve_batch", no_solve)
     common = ["--input", clean_wav, "--frame-len", 256, "--hop", 64, option, value]
     assert_refused(tmp_path, 2, message, "bench", *common, "--output", tmp_path / "out.csv")
     assert_refused(tmp_path, 2, message, "bench", *common)

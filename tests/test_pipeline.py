@@ -267,19 +267,31 @@ def test_gap_oracle_redundant_frame(variant, bar):
 
 @st.composite
 def gap_cases(draw):
-    """A clipped signal with runs of free samples at drawn places, and restore's settings."""
+    """A box and restore's settings. The box is a clipped signal with runs of
+    free samples at drawn places, or one built sample by sample at a scale of
+    1e-3, 1 or 1e3: each sample reliable, bounded on one side at any level,
+    or free, with boxes whose samples are all free among them."""
     frame_len = draw(st.sampled_from([16, 32, 64]))
     hop = draw(st.integers(frame_len // 4, frame_len))
     n = draw(st.integers(1, 4 * frame_len))
-    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
-    theta = draw(st.floats(0.05, 1.2)) * float(np.max(np.abs(x)))
-    assume(theta > 2 * DEFAULT_DELTA_DETECT)
-    model = detect_masks(hard_clip(x, theta), theta)
-    lo, hi = model.lo.copy(), model.hi.copy()
-    for _ in range(draw(st.integers(1, 3))):
-        start = draw(st.integers(0, n - 1))
-        run = slice(start, start + draw(st.integers(1, frame_len)))
-        lo[run], hi[run] = -np.inf, np.inf
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.standard_normal(n)
+        theta = draw(st.floats(0.05, 1.2)) * float(np.max(np.abs(x)))
+        assume(theta > 2 * DEFAULT_DELTA_DETECT)
+        model = detect_masks(hard_clip(x, theta), theta)
+        lo, hi = model.lo.copy(), model.hi.copy()
+        for _ in range(draw(st.integers(1, 3))):
+            start = draw(st.integers(0, n - 1))
+            run = slice(start, start + draw(st.integers(1, frame_len)))
+            lo[run], hi[run] = -np.inf, np.inf
+    else:
+        level = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(n)
+        # the odds of reliable, bounded below, bounded above and free
+        odds = draw(st.sampled_from([(0.9, 0.04, 0.04, 0.02), (0.25, 0.25, 0.25, 0.25), (0, 0, 0, 1)]))
+        kind = rng.choice(4, size=n, p=odds)
+        lo = np.where(kind <= 1, level, -np.inf)
+        hi = np.where((kind == 0) | (kind == 2), level, np.inf)
     params = SolverParams(
         s=draw(st.integers(1, 3)),
         r=draw(st.integers(1, 3)),
@@ -293,6 +305,8 @@ def gap_cases(draw):
 @given(gap_cases())
 def test_restore_invariants_with_free_samples_inside(case):
     model, params, frame_len, hop, redundancy = case
+    masks = [model.mask_r, model.mask_h, model.mask_l, model.mask_free]
+    np.testing.assert_array_equal(np.sum(masks, axis=0), 1)  # they partition the samples
     out, per_frame = restore(model, params, frame_len, hop, redundancy)
     assert_in_box(out, model)
     assert len(per_frame) == SegmentationPlan(len(model.lo), frame_len, hop).num_frames

@@ -178,22 +178,22 @@ MUTANTS = [
     Mutant(
         "declip writes its CSV over its WAV",
         "spadeclip/cli.py",
-        '_refuse_same_file(args, "csv", "output", "input")',
-        '_refuse_same_file(args, "csv", "input")',
+        "if same:",
+        'if same and (earlier, later) != ("output", "csv"):',
         ("tests/test_cli.py::test_declip_refuses_a_csv_at_its_output_path",),
     ),
     Mutant(
         "declip writes its CSV over its input",
         "spadeclip/cli.py",
-        '_refuse_same_file(args, "csv", "output", "input")',
-        '_refuse_same_file(args, "csv", "output")',
+        "if same:",
+        'if same and (earlier, later) != ("input", "csv"):',
         ("tests/test_cli.py::test_declip_refuses_a_csv_at_its_input_path",),
     ),
     Mutant(
         "clip and declip write over their input",
         "spadeclip/cli.py",
-        'if getattr(args, "output", None):',
-        'if args.command == "bench":',
+        "if same:",
+        'if same and (later != "output" or args.command == "bench"):',
         (
             "tests/test_cli.py::test_clip_and_declip_refuse_an_output_at_their_input_path[clip-same]",
             "tests/test_cli.py::test_clip_and_declip_refuse_an_output_at_their_input_path[declip-same]",
@@ -202,9 +202,36 @@ MUTANTS = [
     Mutant(
         "bench writes its CSV over its input",
         "spadeclip/cli.py",
-        '_refuse_same_file(args, "output", "input")',
-        "pass",
+        "_refuse_overwrite(args)  #",
+        'args.command == "bench" or _refuse_overwrite(args)  #',
         ("tests/test_cli.py::test_bench_refuses_an_output_at_its_input_path",),
+    ),
+    Mutant(
+        "overwrite check compares spellings",
+        "spadeclip/cli.py",
+        "same = os.path.samefile(path, other)",
+        "same = os.path.realpath(path) == os.path.realpath(other)",
+        (
+            "tests/test_cli.py::test_declip_refuses_a_csv_at_its_output_path[hard-link]",
+            "tests/test_cli.py::test_declip_refuses_a_csv_at_its_input_path[hard-link]",
+            "tests/test_cli.py::test_clip_and_declip_refuse_an_output_at_their_input_path[clip-hard-link]",
+            "tests/test_cli.py::test_clip_and_declip_refuse_an_output_at_their_input_path[declip-hard-link]",
+            "tests/test_cli.py::test_bench_refuses_an_output_at_its_input_path[hard-link]",
+        ),
+    ),
+    Mutant(
+        "bench checks its grid cell by cell",
+        "spadeclip/cli.py",
+        "hard_clip(x, t * peak)",
+        "np.clip(x, -t * peak, t * peak)",
+        ("tests/test_cli.py::test_failing_bench_writes_nothing[--thetas-0.5,nan]",),
+    ),
+    Mutant(
+        "bench checks its redundancies cell by cell",
+        "spadeclip/cli.py",
+        "restore(ClipModel(x[:1], x[:1]), SolverParams(), args.frame_len, args.hop, red)",
+        "pass",
+        ("tests/test_cli.py::test_failing_bench_writes_nothing[--redundancies-2,inf]",),
     ),
     Mutant(
         "an I/O error exits as invalid input",
