@@ -16,8 +16,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .feasible import DEFAULT_DELTA_DETECT, ClipModel, auto_theta, hard_clip
-from .pipeline import DEFAULT_FRAME_LEN, DEFAULT_HOP, DEFAULT_REDUNDANCY, declip_signal, restore
+from .feasible import DEFAULT_DELTA_DETECT, auto_theta, hard_clip
+from .pipeline import DEFAULT_FRAME_LEN, DEFAULT_HOP, DEFAULT_REDUNDANCY, declip_signal
 from .solvers import SCHEDULES, SolverParams, Variant
 from .wavio import read_wav, write_wav
 
@@ -29,6 +29,15 @@ EXIT_IO = 3
 def _per_variant(i: int) -> str:
     """Item i of each variant's `SCHEDULES` entry, for help text."""
     return ", ".join(f"{v.value} {entry[i]}" for v, entry in SCHEDULES.items())
+
+
+# argparse types, named in a usage error: "argument --thetas: invalid float_list value: '0.5,foo'"
+def float_or_auto(text: str):
+    return text if text == "auto" else float(text)
+
+
+def float_list(text: str) -> list[float]:  # comma-separated
+    return [float(t) for t in text.split(",")]
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -121,7 +130,7 @@ def cmd_clip(args) -> int:
 def cmd_declip(args) -> int:
     rate, y = read_wav(args.input)
     channels = np.ascontiguousarray(np.atleast_2d(y.T))  # one row per channel
-    theta = auto_theta(y, args.delta_detect) if args.theta == "auto" else float(args.theta)
+    theta = auto_theta(y, args.delta_detect) if args.theta == "auto" else args.theta
     restored, reports = [], []
     for channel in channels:
         out, report = _declip(args, args.variant, channel, theta, args.redundancy)
@@ -153,17 +162,15 @@ def cmd_bench(args) -> int:
     peak = float(np.max(np.abs(x)))
     if peak == 0:  # every theta, a fraction of the peak, would be 0
         raise ValueError(f"{args.input}: reference is silent (all samples are zero)")
-    variants = [Variant(v) for v in args.variants.split(",")]
-    # every theta and redundancy is checked before the first solve. Each theta comes
-    # with the reference clipped at it, which hard_clip refuses for a bad theta
-    clips = [(t, hard_clip(x, t * peak)) for t in map(float, args.thetas.split(","))]
-    redundancies = [float(r) for r in args.redundancies.split(",")]
-    for red in redundancies:  # restore on one reliable sample checks the framing, solves nothing
-        restore(ClipModel(x[:1], x[:1]), SolverParams(), args.frame_len, args.hop, red)
+    cells = list(product(args.variants.split(","), args.thetas, args.redundancies))
+    # each cell's own call checks the cell before the first solve: one silent sample is
+    # reliable at any theta above delta_detect, so restore solves nothing
+    for variant, theta, red in cells:  # theta is a fraction of the peak, as the CSV gives it
+        _declip(args, variant, np.zeros(1), theta * peak, red)
     rows = []
-    for variant, (theta_rel, y), red in product(variants, clips, redundancies):
-        _, report = _declip(args, variant, y, theta_rel * peak, red, reference=x)
-        rows.append(_csv_row(variant.value, theta_rel, red, report))
+    for variant, theta, red in cells:
+        _, report = _declip(args, variant, hard_clip(x, theta * peak), theta * peak, red, reference=x)
+        rows.append(_csv_row(variant, theta, red, report))
     # every cell is computed before the output is opened: a failing bench writes nothing
     if args.output:
         with open(args.output, "w", newline="") as fh:
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_declip.add_argument("--output", required=True)
     p_declip.add_argument("--variant", choices=[v.value for v in Variant], default=SolverParams.variant.value)
     p_declip.add_argument(
-        "--theta", default="auto", help='clip threshold, or "auto" (the peak |y|)'
+        "--theta", type=float_or_auto, default="auto", help='clip threshold, or "auto" (the peak |y|)'
     )
     p_declip.add_argument("--csv", help="also write the report as CSV, one row per channel")
     p_declip.add_argument("--redundancy", type=float, default=DEFAULT_REDUNDANCY)
@@ -216,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--input", required=True, help="clean reference WAV")
     p_bench.add_argument("--output", help="CSV path (default stdout)")
     p_bench.add_argument("--variants", default=",".join(v.value for v in Variant))
-    p_bench.add_argument("--thetas", default="0.1,0.3,0.5,0.7,0.9", help="fractions of peak amplitude")
-    p_bench.add_argument("--redundancies", default=str(DEFAULT_REDUNDANCY))
+    p_bench.add_argument(
+        "--thetas", type=float_list, default="0.1,0.3,0.5,0.7,0.9", help="fractions of peak amplitude"
+    )
+    p_bench.add_argument("--redundancies", type=float_list, default=str(DEFAULT_REDUNDANCY))
     _add_solver_args(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -270,13 +270,18 @@ def test_declip_rejects_non_finite_settings(clean_wav, tmp_path, option, value):
     assert_refused(tmp_path, 2, message, "declip", *args)
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_bench_rejects_non_finite_redundancy(clean_wav, tmp_path, value):
-    assert_refused(
-        tmp_path, 2, re.escape(f"redundancy must be finite and >= 1, got {value}"),
-        "bench", "--input", clean_wav, "--output", tmp_path / "out.csv",
-        "--variants", "aspade", "--thetas", 0.5, "--redundancies", value,
-    )
+@pytest.mark.parametrize(
+    "command,option,value",
+    [("declip", "--theta", "foo"), ("bench", "--thetas", "0.5,foo"), ("bench", "--redundancies", "2,foo")],
+)
+def test_a_value_that_is_not_a_number_is_a_usage_error(tmp_path, capsys, command, option, value):
+    # refused as the options are parsed, before the (missing) input is opened
+    files = ["--input", tmp_path / "missing.wav", "--output", tmp_path / "out"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *files, option, value)
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_has_no_redundancy_option(clean_wav):
@@ -291,13 +296,16 @@ def test_bench_has_no_redundancy_option(clean_wav):
     [
         ("--redundancies", "inf", "redundancy must be finite and >= 1, got inf"),
         ("--redundancies", "2,inf", "redundancy must be finite and >= 1, got inf"),  # a later value
+        ("--redundancies", "nan", "redundancy must be finite and >= 1, got nan"),
         ("--epsilon", "nan", "epsilon must be nonnegative, got nan"),
         ("--thetas", "0.5,nan", "theta must be positive, got nan"),  # a later value
+        # the clip itself accepts any positive theta; the cell's detection refuses it
+        ("--thetas", "0.5,1e-9", r"theta must exceed delta_detect \(1e-06\), got [0-9.e-]+"),
         ("--variants", "foo", "'foo' is not a valid Variant"),
         ("--variants", "sspade-DR", "'sspade-DR' is not a valid Variant"),
     ],
-    ids=["--redundancies-inf", "--redundancies-2,inf", "--epsilon-nan",
-         "--thetas-0.5,nan", "--variants-foo", "--variants-sspade-DR"],
+    ids=["--redundancies-inf", "--redundancies-2,inf", "--redundancies-nan", "--epsilon-nan",
+         "--thetas-0.5,nan", "--thetas-0.5,1e-9", "--variants-foo", "--variants-sspade-DR"],
 )  # fmt: skip
 def test_failing_bench_writes_nothing(clean_wav, tmp_path, monkeypatch, option, value, message):
     # a bad value anywhere in the grid is refused before the first solve

@@ -220,18 +220,22 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "bench checks its grid cell by cell",
+        "bench skips its pre-flight",
         "spadeclip/cli.py",
-        "hard_clip(x, t * peak)",
-        "np.clip(x, -t * peak, t * peak)",
-        ("tests/test_cli.py::test_failing_bench_writes_nothing[--thetas-0.5,nan]",),
+        "_declip(args, variant, np.zeros(1), theta * peak, red)",
+        "pass",
+        (
+            "tests/test_cli.py::test_failing_bench_writes_nothing[--thetas-0.5,nan]",
+            "tests/test_cli.py::test_failing_bench_writes_nothing[--redundancies-2,inf]",
+            "tests/test_cli.py::test_failing_bench_writes_nothing[--thetas-0.5,1e-9]",
+        ),
     ),
     Mutant(
-        "bench checks its redundancies cell by cell",
+        "declip takes --theta unparsed",
         "spadeclip/cli.py",
-        "restore(ClipModel(x[:1], x[:1]), SolverParams(), args.frame_len, args.hop, red)",
-        "pass",
-        ("tests/test_cli.py::test_failing_bench_writes_nothing[--redundancies-2,inf]",),
+        '"--theta", type=float_or_auto,',
+        '"--theta",',
+        ("tests/test_cli.py::test_a_value_that_is_not_a_number_is_a_usage_error[declip---theta-foo]",),
     ),
     Mutant(
         "an I/O error exits as invalid input",
