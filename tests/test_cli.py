@@ -284,6 +284,16 @@ def test_a_value_that_is_not_a_number_is_a_usage_error(tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["inf"])  # nan: test_failing_bench_writes_nothing
+def test_bench_rejects_non_finite_redundancy(clean_wav, tmp_path, value):
+    # a grid of one cell
+    assert_refused(
+        tmp_path, 2, re.escape(f"redundancy must be finite and >= 1, got {value}"),
+        "bench", "--input", clean_wav, "--output", tmp_path / "out.csv",
+        "--variants", "aspade", "--thetas", 0.5, "--redundancies", value,
+    )
+
+
 def test_bench_has_no_redundancy_option(clean_wav):
     # bench reads only --redundancies
     with pytest.raises(SystemExit) as exc:

@@ -220,7 +220,7 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "bench skips its pre-flight",
+        "bench checks its grid cell by cell",  # its pre-flight dropped
         "spadeclip/cli.py",
         "_declip(args, variant, np.zeros(1), theta * peak, red)",
         "pass",
@@ -229,6 +229,13 @@ MUTANTS = [
             "tests/test_cli.py::test_failing_bench_writes_nothing[--redundancies-2,inf]",
             "tests/test_cli.py::test_failing_bench_writes_nothing[--thetas-0.5,1e-9]",
         ),
+    ),
+    Mutant(
+        "bench checks its redundancies cell by cell",  # its pre-flight sees the first one only
+        "spadeclip/cli.py",
+        "_declip(args, variant, np.zeros(1), theta * peak, red)",
+        "_declip(args, variant, np.zeros(1), theta * peak, args.redundancies[0])",
+        ("tests/test_cli.py::test_failing_bench_writes_nothing[--redundancies-2,inf]",),
     ),
     Mutant(
         "declip takes --theta unparsed",
